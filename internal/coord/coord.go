@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flashflow/internal/core"
@@ -306,7 +308,7 @@ type Coordinator struct {
 	inFlight int
 	priors   map[string]float64
 	last     *RoundReport
-	progress map[string]*SlotProgress
+	progress map[string]*liveSlot
 	// anomalies is the coordinator's own windowed copy of per-relay §5
 	// defense counters: unlike the BWAuths' tables (dropped with the
 	// retain set), entries survive population churn for
@@ -357,7 +359,7 @@ func New(cfg Config, auths []*core.BWAuth, source RelaySource) (*Coordinator, er
 		limiter:   NewRelayLimiter(cfg.RelayAttemptsPerSec, cfg.RelayBurst),
 		builder:   core.NewScheduleBuilder(),
 		priors:    make(map[string]float64),
-		progress:  make(map[string]*SlotProgress),
+		progress:  make(map[string]*liveSlot),
 		anomalies: make(map[string]*relayAnomaly),
 	}
 	for _, a := range auths {
@@ -489,37 +491,58 @@ type progressTee struct {
 
 func (t *progressTee) RunMeasurement(ctx context.Context, target string, alloc core.Allocation, seconds int, sink core.SampleSink) (core.MeasurementData, error) {
 	key := t.auth + "/" + target
-	t.c.mu.Lock()
-	t.c.progress[key] = &SlotProgress{
+	p := &liveSlot{fixed: SlotProgress{
 		Relay:        target,
 		BWAuth:       t.auth,
 		AllocatedBps: alloc.TotalBps,
 		SlotSeconds:  seconds,
 		Started:      time.Now(),
-	}
+	}}
+	t.c.mu.Lock()
+	t.c.progress[key] = p
 	t.c.mu.Unlock()
 	defer func() {
 		t.c.mu.Lock()
-		delete(t.c.progress, key)
+		// A later attempt on the same relay may have replaced the entry;
+		// leave that one alone.
+		if t.c.progress[key] == p {
+			delete(t.c.progress, key)
+		}
 		t.c.mu.Unlock()
 	}()
+	// Samples arrive sequentially (core.SampleSink), so the running total
+	// lives here and each sample publishes it with two atomic stores —
+	// no coordinator lock on the per-second path.
+	var total float64
 	tee := func(s core.Sample) {
-		var bytes float64
 		for _, v := range s.MeasBytes {
-			bytes += v
+			total += v
 		}
-		bytes += s.NormBytes
-		t.c.mu.Lock()
-		if p, ok := t.c.progress[key]; ok {
-			p.Second = s.Second + 1
-			p.Bytes += bytes
-		}
-		t.c.mu.Unlock()
+		total += s.NormBytes
+		p.bytes.Store(math.Float64bits(total))
+		p.second.Store(int64(s.Second + 1))
 		if sink != nil {
 			sink(s)
 		}
 	}
 	return t.inner.RunMeasurement(ctx, target, alloc, seconds, tee)
+}
+
+// liveSlot is one in-flight slot's progress entry. The slot's own tee
+// is the only writer of the counters; Status reads them without
+// stopping it, so a snapshot may pair one sample's second with the next
+// sample's bytes.
+type liveSlot struct {
+	fixed  SlotProgress // Second and Bytes unused
+	second atomic.Int64
+	bytes  atomic.Uint64 // float64 bits
+}
+
+func (p *liveSlot) snapshot() SlotProgress {
+	s := p.fixed
+	s.Second = int(p.second.Load())
+	s.Bytes = math.Float64frombits(p.bytes.Load())
+	return s
 }
 
 // Status returns a snapshot of the coordinator's state.
@@ -532,7 +555,7 @@ func (c *Coordinator) Status() Status {
 		Counters: c.cfg.Counters.Snapshot(),
 	}
 	for _, p := range c.progress {
-		s.Measuring = append(s.Measuring, *p)
+		s.Measuring = append(s.Measuring, p.snapshot())
 	}
 	if len(c.anomalies) > 0 {
 		s.Anomalies = make(map[string]core.AnomalyCounts, len(c.anomalies))

@@ -535,6 +535,101 @@ func TestStatusReportsLiveProgress(t *testing.T) {
 	}
 }
 
+// TestStatusDuringConcurrentSlots polls Status while several slots stream
+// at once: the per-second progress path takes no coordinator lock, so
+// this is the test the race detector watches. Every snapshot must be
+// internally sane and the table must drain when the rounds end.
+func TestStatusDuringConcurrentSlots(t *testing.T) {
+	caps := map[string]float64{"r1": 10e6, "r2": 20e6, "r3": 30e6, "r4": 40e6, "r5": 50e6, "r6": 60e6}
+	backend := newFakeBackend(caps)
+	backend.secondDelay = time.Millisecond
+	p := testParams()
+	p.SlotSeconds = 10
+	auths := []*core.BWAuth{testAuth("bw0", backend, p), testAuth("bw1", backend, p)}
+	var source StaticRelays
+	for name, c := range caps {
+		source = append(source, core.RelayEstimate{Name: name, EstimateBps: c})
+	}
+	c, err := New(Config{Params: p, Workers: 4, MaxRounds: 2, RetryBase: time.Millisecond}, auths, source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Run(context.Background()) }()
+	polls := 0
+	for running := true; running; polls++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		for _, m := range c.Status().Measuring {
+			if m.Second < 0 || m.Second > m.SlotSeconds || m.Bytes < 0 || m.AllocatedBps <= 0 {
+				t.Fatalf("inconsistent live progress: %+v", m)
+			}
+		}
+	}
+	if got := len(c.Status().Measuring); got != 0 {
+		t.Fatalf("progress entries left after the rounds: %d (%d polls)", got, polls)
+	}
+}
+
+// gatedBackend streams one sample per slot, then holds the slot open
+// until its release channel closes.
+type gatedBackend struct {
+	streamed chan struct{}
+	release  map[float64]chan struct{} // keyed by the slot's TotalBps
+}
+
+func (g *gatedBackend) RunMeasurement(ctx context.Context, target string, alloc core.Allocation, seconds int, sink core.SampleSink) (core.MeasurementData, error) {
+	sink(core.Sample{Second: 0, MeasBytes: []float64{alloc.TotalBps}})
+	g.streamed <- struct{}{}
+	<-g.release[alloc.TotalBps]
+	return core.MeasurementData{}, nil
+}
+
+// TestProgressTeeKeepsNewerEntry: when a second attempt on the same relay
+// starts before the first one's slot has returned, the first one's
+// cleanup must not delete the second one's progress entry.
+func TestProgressTeeKeepsNewerEntry(t *testing.T) {
+	g := &gatedBackend{
+		streamed: make(chan struct{}),
+		release:  map[float64]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})},
+	}
+	p := testParams()
+	c, err := New(Config{Params: p}, []*core.BWAuth{testAuth("bw0", g, p)}, StaticRelays{{Name: "r", EstimateBps: 1e6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tee := c.auths[0].Backend
+	returned := map[float64]chan struct{}{}
+	for _, bps := range []float64{1, 2} {
+		returned[bps] = make(chan struct{})
+		go func() {
+			defer close(returned[bps])
+			_, _ = tee.RunMeasurement(context.Background(), "r", core.Allocation{TotalBps: bps}, 5, nil)
+		}()
+		<-g.streamed
+	}
+	measuring := func() []SlotProgress { return c.Status().Measuring }
+	if m := measuring(); len(m) != 1 || m[0].AllocatedBps != 2 || m[0].Bytes != 2 || m[0].Second != 1 {
+		t.Fatalf("progress while both slots run: %+v", m)
+	}
+	close(g.release[1])
+	<-returned[1]
+	if m := measuring(); len(m) != 1 || m[0].AllocatedBps != 2 {
+		t.Fatalf("first slot's cleanup touched the second slot's entry: %+v", m)
+	}
+	close(g.release[2])
+	<-returned[2]
+	if m := measuring(); len(m) != 0 {
+		t.Fatalf("progress entries after both slots: %+v", m)
+	}
+}
+
 // TestCapacityCollisionsDeferWithoutBurningAttempts pins the contention
 // edge case: ErrInsufficientCapacity means the allocation collided with
 // in-flight measurements, so the slot is deferred with backoff without
@@ -664,10 +759,10 @@ func TestDepartedRelaysPruned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.Entries["leave"]; ok {
+	if _, ok := f.Lookup("leave"); ok {
 		t.Fatalf("departed relay still published: %v", f.Entries)
 	}
-	if _, ok := f.Entries["stay"]; !ok {
+	if _, ok := f.Lookup("stay"); !ok {
 		t.Fatalf("staying relay missing: %v", f.Entries)
 	}
 }
@@ -756,7 +851,7 @@ func TestSnapshotsWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range caps {
-		e, ok := f.Entries[name]
+		e, ok := f.Lookup(name)
 		if !ok {
 			t.Fatalf("snapshot missing %s", name)
 		}
@@ -765,7 +860,7 @@ func TestSnapshotsWritten(t *testing.T) {
 		}
 	}
 	// The unmeasurable relay's seeded prior must not be published.
-	if _, ok := f.Entries["ghost"]; ok {
+	if _, ok := f.Lookup("ghost"); ok {
 		t.Fatalf("never-measured relay published in snapshot: %v", f.Entries)
 	}
 }

@@ -209,13 +209,13 @@ func (b *BWAuth) MeasureAll(ctx context.Context, relayNames []string) (map[strin
 // file: FlashFlow reports the capacity estimate as both the weight and the
 // capacity value (Table 2: FlashFlow provides capacity values directly).
 func (b *BWAuth) BandwidthFile(at time.Duration) *dirauth.BandwidthFile {
-	f := dirauth.NewBandwidthFile(b.Name, at)
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	entries := make([]dirauth.BandwidthEntry, 0, len(b.estimates))
 	for name, est := range b.estimates {
-		f.Set(name, est, est)
+		entries = append(entries, dirauth.BandwidthEntry{Name: name, WeightBps: est, CapacityBps: est})
 	}
-	return f
+	b.mu.Unlock()
+	return dirauth.NewBandwidthFile(b.Name, at, entries)
 }
 
 // RunPeriodResult summarizes one measurement period across BWAuths.

@@ -67,9 +67,9 @@ func TestBWAuthMeasureAllAndBandwidthFile(t *testing.T) {
 	if len(f.Entries) != 2 {
 		t.Fatalf("bandwidth file entries: %d", len(f.Entries))
 	}
-	for n, e := range f.Entries {
+	for _, e := range f.Entries {
 		if e.CapacityBps != e.WeightBps || e.CapacityBps <= 0 {
-			t.Fatalf("entry %s: %+v", n, e)
+			t.Fatalf("entry %s: %+v", e.Name, e)
 		}
 	}
 }

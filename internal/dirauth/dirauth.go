@@ -3,7 +3,9 @@ package dirauth
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"flashflow/internal/stats"
@@ -83,26 +85,157 @@ func (c *Consensus) NormalizedWeights() []float64 {
 
 // BandwidthFile is a bandwidth authority's output: per-relay weight and,
 // for FlashFlow, a capacity estimate (Table 2's "capacity values" column).
+//
+// Entries is sorted by relay name and holds each name once. Every v3bw
+// operation leans on that invariant — rendering is one pass in order,
+// merging is one k-way walk, Lookup is a binary search — so build files
+// through NewBandwidthFile, which establishes it.
 type BandwidthFile struct {
 	Producer string
 	At       time.Duration
-	Entries  map[string]BandwidthEntry
+	Entries  []BandwidthEntry
 }
 
 // BandwidthEntry is one relay's line in a bandwidth file.
 type BandwidthEntry struct {
+	Name        string
 	WeightBps   float64
 	CapacityBps float64 // zero if the producer provides weights only
 }
 
-// NewBandwidthFile creates an empty bandwidth file.
-func NewBandwidthFile(producer string, at time.Duration) *BandwidthFile {
-	return &BandwidthFile{Producer: producer, At: at, Entries: make(map[string]BandwidthEntry)}
+// NewBandwidthFile builds a bandwidth file from entries in any order and
+// takes ownership of the slice. Entries that already ascend strictly by
+// name are used as they are; otherwise they are sorted once, and where a
+// name repeats the entry that came last wins.
+func NewBandwidthFile(producer string, at time.Duration, entries []BandwidthEntry) *BandwidthFile {
+	return &BandwidthFile{Producer: producer, At: at, Entries: sortEntries(entries)}
 }
 
-// Set records a relay's weight and capacity.
-func (b *BandwidthFile) Set(name string, weightBps, capacityBps float64) {
-	b.Entries[name] = BandwidthEntry{WeightBps: weightBps, CapacityBps: capacityBps}
+// sortEntries returns es ordered by name with each name once, keeping the
+// last of any repeated name.
+func sortEntries(es []BandwidthEntry) []BandwidthEntry {
+	if strictlyAscending(es) {
+		return es
+	}
+	byName := func(a, b BandwidthEntry) int { return strings.Compare(a.Name, b.Name) }
+	sorted := slices.Clone(es)
+	slices.SortFunc(sorted, byName)
+	if strictlyAscending(sorted) {
+		return sorted
+	}
+	// Repeated names: the unstable sort lost their input order, so redo
+	// it stably from the original (twice the cost, rare input).
+	slices.SortStableFunc(es, byName)
+	out := es[:0]
+	for i, e := range es {
+		if i+1 < len(es) && es[i+1].Name == e.Name {
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+func strictlyAscending(es []BandwidthEntry) bool {
+	for i := 1; i < len(es); i++ {
+		if es[i-1].Name >= es[i].Name {
+			return false
+		}
+	}
+	return true
+}
+
+// Lookup returns the named relay's entry.
+func (f *BandwidthFile) Lookup(name string) (BandwidthEntry, bool) {
+	i, ok := slices.BinarySearchFunc(f.Entries, name, func(e BandwidthEntry, n string) int {
+		return strings.Compare(e.Name, n)
+	})
+	if !ok {
+		return BandwidthEntry{}, false
+	}
+	return f.Entries[i], true
+}
+
+// eachRelay is the k-way merge behind every multi-file operation. It walks
+// the name-sorted files in lockstep and calls fn once per relay name, in
+// ascending order, with the relay's entries from the files that list it,
+// in file order. The slice is reused between calls.
+func eachRelay(files []*BandwidthFile, fn func(name string, es []BandwidthEntry)) {
+	heads := make([]int, len(files))
+	es := make([]BandwidthEntry, 0, len(files))
+	for {
+		var name string
+		found := false
+		for i, f := range files {
+			if h := heads[i]; h < len(f.Entries) && (!found || f.Entries[h].Name < name) {
+				name, found = f.Entries[h].Name, true
+			}
+		}
+		if !found {
+			return
+		}
+		es = es[:0]
+		for i, f := range files {
+			if h := heads[i]; h < len(f.Entries) && f.Entries[h].Name == name {
+				es = append(es, f.Entries[h])
+				heads[i]++
+			}
+		}
+		fn(name, es)
+	}
+}
+
+// medianMerge is the one pass behind MergeMedianFile, MedianCapacities and
+// the merge node's split-view check. Per relay it takes the median of the
+// positive capacities across files (the mean of the middle two for an
+// even count) as both weight and capacity, skipping relays with none. If
+// splitFactor is non-negative it also returns, in name order, the relays
+// that at least two files list and whose capacity — the weight for a
+// weights-only entry — spans more than splitFactor (max/min).
+func medianMerge(files []*BandwidthFile, splitFactor float64) (merged []BandwidthEntry, split []string) {
+	longest := 0
+	for _, f := range files {
+		longest = max(longest, len(f.Entries))
+	}
+	merged = make([]BandwidthEntry, 0, longest)
+	eachRelay(files, func(name string, es []BandwidthEntry) {
+		var capBuf [8]float64
+		caps := capBuf[:0]
+		lo, hi := 0.0, 0.0
+		for i, e := range es {
+			if e.CapacityBps > 0 {
+				caps = append(caps, e.CapacityBps)
+			}
+			c := e.CapacityBps
+			if c <= 0 {
+				c = e.WeightBps
+			}
+			// Explicit comparisons rather than min/max: a NaN must not
+			// poison the bounds.
+			if i == 0 {
+				lo, hi = c, c
+			}
+			if c < lo {
+				lo = c
+			}
+			if c > hi {
+				hi = c
+			}
+		}
+		if len(caps) > 0 {
+			slices.Sort(caps)
+			n := len(caps)
+			m := caps[n/2]
+			if n%2 == 0 {
+				m = (caps[n/2-1] + caps[n/2]) / 2
+			}
+			merged = append(merged, BandwidthEntry{Name: name, WeightBps: m, CapacityBps: m})
+		}
+		if splitFactor >= 0 && len(es) >= 2 && lo > 0 && hi/lo > splitFactor {
+			split = append(split, name)
+		}
+	})
+	return merged, split
 }
 
 // ErrNoFiles is returned when aggregating zero bandwidth files.
@@ -116,23 +249,16 @@ func AggregateMedian(at time.Duration, files []*BandwidthFile, firstSeen map[str
 	if len(files) == 0 {
 		return nil, ErrNoFiles
 	}
-	names := make(map[string]struct{})
-	for _, f := range files {
-		for n := range f.Entries {
-			names[n] = struct{}{}
-		}
-	}
 	majority := len(files)/2 + 1
-	entries := make([]RelayEntry, 0, len(names))
-	for n := range names {
-		var ws []float64
-		for _, f := range files {
-			if e, ok := f.Entries[n]; ok {
-				ws = append(ws, e.WeightBps)
-			}
+	var entries []RelayEntry
+	ws := make([]float64, 0, len(files))
+	eachRelay(files, func(n string, es []BandwidthEntry) {
+		if len(es) < majority {
+			return
 		}
-		if len(ws) < majority {
-			continue
+		ws = ws[:0]
+		for _, e := range es {
+			ws = append(ws, e.WeightBps)
 		}
 		e := RelayEntry{Name: n, WeightBps: stats.Median(ws)}
 		if firstSeen != nil {
@@ -142,24 +268,17 @@ func AggregateMedian(at time.Duration, files []*BandwidthFile, firstSeen map[str
 			e.AdvertisedBps = advertised[n]
 		}
 		entries = append(entries, e)
-	}
+	})
 	return NewConsensus(at, entries), nil
 }
 
 // MedianCapacities returns per-relay median capacity estimates across
 // bandwidth files, for producers (like FlashFlow) that report capacities.
 func MedianCapacities(files []*BandwidthFile) map[string]float64 {
-	counts := make(map[string][]float64)
-	for _, f := range files {
-		for n, e := range f.Entries {
-			if e.CapacityBps > 0 {
-				counts[n] = append(counts[n], e.CapacityBps)
-			}
-		}
-	}
-	out := make(map[string]float64, len(counts))
-	for n, cs := range counts {
-		out[n] = stats.Median(cs)
+	merged, _ := medianMerge(files, -1)
+	out := make(map[string]float64, len(merged))
+	for _, e := range merged {
+		out[e.Name] = e.CapacityBps
 	}
 	return out
 }

@@ -8,11 +8,11 @@ import (
 )
 
 func mkFile(name string, at time.Duration, weights map[string]float64) *BandwidthFile {
-	f := NewBandwidthFile(name, at)
+	var es []BandwidthEntry
 	for n, w := range weights {
-		f.Set(n, w, 0)
+		es = append(es, BandwidthEntry{Name: n, WeightBps: w})
 	}
-	return f
+	return NewBandwidthFile(name, at, es)
 }
 
 func TestConsensusLookupAndSorting(t *testing.T) {
@@ -133,13 +133,12 @@ func TestAggregateCarriesMetadata(t *testing.T) {
 }
 
 func TestMedianCapacities(t *testing.T) {
-	f1 := NewBandwidthFile("bw1", 0)
-	f1.Set("a", 10, 100)
-	f2 := NewBandwidthFile("bw2", 0)
-	f2.Set("a", 12, 120)
-	f3 := NewBandwidthFile("bw3", 0)
-	f3.Set("a", 11, 110)
-	f3.Set("weightsOnly", 9, 0)
+	f1 := NewBandwidthFile("bw1", 0, []BandwidthEntry{{Name: "a", WeightBps: 10, CapacityBps: 100}})
+	f2 := NewBandwidthFile("bw2", 0, []BandwidthEntry{{Name: "a", WeightBps: 12, CapacityBps: 120}})
+	f3 := NewBandwidthFile("bw3", 0, []BandwidthEntry{
+		{Name: "weightsOnly", WeightBps: 9},
+		{Name: "a", WeightBps: 11, CapacityBps: 110},
+	})
 	caps := MedianCapacities([]*BandwidthFile{f1, f2, f3})
 	if caps["a"] != 110 {
 		t.Fatalf("median capacity: got %v want 110", caps["a"])

@@ -287,11 +287,19 @@ func (m *MergeService) remergeLocked() (*Merged, error) {
 		}
 	}
 
+	// The split-view check (§5, re-homed at the merge boundary) rides the
+	// median's pass: in-process, the coordinator compares one relay's
+	// estimates across its BWAuth columns within a round; here, the merge
+	// node compares the relay's capacity across the independent BWAuths'
+	// views. A relay showing one capacity to some BWAuths and a
+	// significantly different one to others — the selective-lying attack
+	// — diverges past SplitViewFactor and is flagged.
+	entries, split := medianMerge(files, m.cfg.SplitViewFactor)
 	merged := &Merged{
 		Round:     round,
 		Views:     names,
-		SplitView: m.splitViewRelays(files),
-		File:      MergeMedianFile(m.cfg.Producer, at, files),
+		SplitView: split,
+		File:      NewBandwidthFile(m.cfg.Producer, at, entries),
 	}
 	body, etag, err := merged.File.Render()
 	if err != nil {
@@ -305,53 +313,6 @@ func (m *MergeService) remergeLocked() (*Merged, error) {
 		m.cfg.OnMerge(*merged)
 	}
 	return merged, nil
-}
-
-// splitViewRelays is the §5 split-view check re-homed at the merge
-// boundary: in-process, the coordinator compares one relay's estimates
-// across its BWAuth columns within a round; here, the merge node
-// compares the relay's capacity across the independent BWAuths' views.
-// A relay showing one capacity to some BWAuths and a significantly
-// different one to others — the selective-lying attack — diverges past
-// SplitViewFactor and is flagged.
-func (m *MergeService) splitViewRelays(files []*BandwidthFile) []string {
-	if m.cfg.SplitViewFactor < 0 || len(files) < 2 {
-		return nil
-	}
-	type bounds struct {
-		lo, hi float64
-		n      int
-	}
-	byRelay := make(map[string]bounds)
-	for _, f := range files {
-		for name, e := range f.Entries {
-			c := e.CapacityBps
-			if c <= 0 {
-				c = e.WeightBps
-			}
-			b, ok := byRelay[name]
-			if !ok {
-				b = bounds{lo: c, hi: c}
-			} else {
-				if c < b.lo {
-					b.lo = c
-				}
-				if c > b.hi {
-					b.hi = c
-				}
-			}
-			b.n++
-			byRelay[name] = b
-		}
-	}
-	var out []string
-	for name, b := range byRelay {
-		if b.n >= 2 && b.lo > 0 && b.hi/b.lo > m.cfg.SplitViewFactor {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Merged returns the last successful merge, or nil before the first.

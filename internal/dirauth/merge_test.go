@@ -34,11 +34,11 @@ func newTestAuths(t *testing.T, names ...string) ([]testAuth, map[string]ed25519
 
 // view renders a v3bw body with the given relay capacities.
 func view(at time.Duration, caps map[string]float64) []byte {
-	f := NewBandwidthFile("test", at)
+	var es []BandwidthEntry
 	for name, c := range caps {
-		f.Set(name, c, c)
+		es = append(es, BandwidthEntry{Name: name, WeightBps: c, CapacityBps: c})
 	}
-	body, _, err := f.Render()
+	body, _, err := NewBandwidthFile("test", at, es).Render()
 	if err != nil {
 		panic(err)
 	}
@@ -237,7 +237,8 @@ func TestMedianOfViews(t *testing.T) {
 		t.Fatalf("third submission should complete the merge: %v", err)
 	}
 	for relay, lo, hi := "r1", 10e6, 11e6; ; {
-		got := merged.File.Entries[relay].CapacityBps
+		e, _ := merged.File.Lookup(relay)
+		got := e.CapacityBps
 		if got < lo || got > hi {
 			t.Fatalf("%s merged capacity %.0f outside honest range [%.0f, %.0f]", relay, got, lo, hi)
 		}
@@ -289,8 +290,8 @@ func TestFreshnessWindow(t *testing.T) {
 	if len(m.Views) != 1 || m.Views[0] != "bw1" {
 		t.Fatalf("views after aging = %v, want [bw1]", m.Views)
 	}
-	if got := m.File.Entries["r"].CapacityBps; got != 30e6 {
-		t.Fatalf("merged capacity = %.0f, want bw1's 30e6 alone", got)
+	if e, _ := m.File.Lookup("r"); e.CapacityBps != 30e6 {
+		t.Fatalf("merged capacity = %.0f, want bw1's 30e6 alone", e.CapacityBps)
 	}
 	if ctr.Get("dirauth_merge_stale_views_excluded") == 0 {
 		t.Fatal("stale exclusion counter must move")

@@ -7,7 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -20,13 +20,15 @@ import (
 // lines, a terminator, then one relay per line. Relays are identified by
 // nickname (unique in this reproduction) rather than fingerprint.
 //
-// Serialization streams: WriteTo renders one line at a time through an
-// internal buffer, so snapshotting a million-relay population costs one
-// sorted name slice and a few kilobytes of scratch rather than the whole
-// file in memory; ParseV3BW reads line-at-a-time off a bufio.Scanner and
-// splits fields in place. The caller owns the destination writer and the
-// lifetime of the parsed file; neither function retains the other's
-// buffers.
+// Serialization streams: a BandwidthFile's entries are already sorted by
+// name, so WriteTo renders them in order, one line at a time through an
+// internal buffer — snapshotting a million-relay population costs a few
+// kilobytes of scratch rather than the whole file in memory, and no sort.
+// ParseV3BW reads line-at-a-time off a bufio.Scanner, splits fields in
+// place and appends entries in input order; a file that WriteTo produced
+// ascends strictly and is kept as read, anything else is sorted once. The
+// caller owns the destination writer and the lifetime of the parsed file;
+// neither function retains the other's buffers.
 
 // v3bw format constants.
 const (
@@ -36,74 +38,90 @@ const (
 )
 
 // WriteTo streams the bandwidth file in the v3bw-style text format.
-// Entries are sorted by relay name so the output is deterministic. It
-// implements io.WriterTo; writes are buffered internally, so handing it
-// a bare *os.File is fine.
+// Relays appear in the file's name order, so the output is deterministic.
+// It implements io.WriterTo; lines are gathered into 64 KiB writes, so
+// handing it a bare *os.File is fine.
 func (f *BandwidthFile) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriterSize(cw, 64<<10)
-	fmt.Fprintf(bw, "%d\n", int64(f.At/time.Second))
-	fmt.Fprintf(bw, "version=%s\n", v3bwVersion)
-	fmt.Fprintf(bw, "software=%s\n", v3bwSoftware)
-	fmt.Fprintf(bw, "producer=%s\n", f.Producer)
-	bw.WriteString(v3bwTerminator + "\n")
-
-	names := make([]string, 0, len(f.Entries))
-	for n := range f.Entries {
-		names = append(names, n)
+	const chunk = 64 << 10
+	buf := f.appendHeader(make([]byte, 0, chunk+512))
+	var n int64
+	flush := func() error {
+		m, err := w.Write(buf)
+		n += int64(m)
+		if err == nil && m < len(buf) {
+			err = io.ErrShortWrite
+		}
+		buf = buf[:0]
+		return err
 	}
-	sort.Strings(names)
-	// Relay lines are rendered with strconv.Append into one reused
-	// scratch buffer: at bandwidth-file scale fmt's reflection-driven
-	// formatting is the dominant cost of a snapshot.
-	line := make([]byte, 0, 128)
-	for _, n := range names {
-		e := f.Entries[n]
-		// bw is in kilobits/s like Tor's consensus weights; capacity
-		// keeps full bits/s resolution (FlashFlow's distinguishing
-		// output, Table 2).
-		line = append(line[:0], "node_id="...)
-		line = append(line, n...)
-		line = append(line, " bw="...)
-		line = strconv.AppendInt(line, int64(e.WeightBps/1000), 10)
-		line = append(line, " capacity="...)
-		line = strconv.AppendFloat(line, e.CapacityBps, 'f', 0, 64)
-		line = append(line, '\n')
-		if _, err := bw.Write(line); err != nil {
-			return cw.n, err
+	for _, e := range f.Entries {
+		buf = appendRelayLine(buf, e)
+		if len(buf) >= chunk {
+			if err := flush(); err != nil {
+				return n, err
+			}
 		}
 	}
-	err := bw.Flush()
-	return cw.n, err
+	return n, flush()
 }
 
-// countingWriter tracks bytes actually handed to the destination so
-// WriteTo can satisfy the io.WriterTo contract under buffering.
-type countingWriter struct {
-	w io.Writer
-	n int64
+// appendHeader appends the timestamp line, the header lines and the
+// terminator.
+func (f *BandwidthFile) appendHeader(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, int64(f.At/time.Second), 10)
+	dst = append(dst, "\nversion="+v3bwVersion+"\nsoftware="+v3bwSoftware+"\nproducer="...)
+	dst = append(dst, f.Producer...)
+	return append(dst, "\n"+v3bwTerminator+"\n"...)
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+// appendRelayLine appends e's relay line. Lines are built with
+// strconv.Append rather than fmt: at bandwidth-file scale fmt's
+// reflection-driven formatting is the dominant cost of a snapshot.
+func appendRelayLine(dst []byte, e BandwidthEntry) []byte {
+	// bw is in kilobits/s like Tor's consensus weights; capacity keeps
+	// full bits/s resolution (FlashFlow's distinguishing output, Table 2).
+	dst = append(dst, "node_id="...)
+	dst = append(dst, e.Name...)
+	dst = append(dst, " bw="...)
+	dst = strconv.AppendInt(dst, int64(e.WeightBps/1000), 10)
+	dst = append(dst, " capacity="...)
+	dst = appendCapacity(dst, e.CapacityBps)
+	return append(dst, '\n')
+}
+
+// appendCapacity appends exactly what strconv.AppendFloat(dst, c, 'f', 0,
+// 64) does. Below 2^53 every double is an integer or has an exact decimal
+// expansion, so rounding it half-to-even — as the float formatter rounds
+// a tie — and printing the integer gives the same digits without the
+// formatter's multi-precision decimal conversion, the bulk of a render.
+// NaN, ±Inf, huge values and results that print as "-0" keep the float
+// formatter.
+func appendCapacity(dst []byte, c float64) []byte {
+	if math.Abs(c) < 1<<53 {
+		if r := math.RoundToEven(c); r != 0 || !math.Signbit(r) {
+			return strconv.AppendInt(dst, int64(r), 10)
+		}
+	}
+	return strconv.AppendFloat(dst, c, 'f', 0, 64)
 }
 
 // Render materializes the bandwidth file once into an owned byte slice
 // and derives a strong ETag — the quoted hex SHA-256 of the body. The
 // HTTP observability plane renders each round's snapshot exactly once
 // through this and then serves the cached bytes to every directory fetch;
-// because WriteTo's output is deterministic (sorted relay names), two
-// renders of equal state produce byte-identical bodies and therefore
-// equal ETags, so client revalidation survives a coordinator restart.
+// because the output is deterministic (name-ordered entries), two renders
+// of equal state produce byte-identical bodies and therefore equal ETags,
+// so client revalidation survives a coordinator restart. The body is the
+// same bytes WriteTo streams.
 func (f *BandwidthFile) Render() (body []byte, etag string, err error) {
-	var buf bytes.Buffer
-	buf.Grow(64 + 48*len(f.Entries))
-	if _, err := f.WriteTo(&buf); err != nil {
-		return nil, "", err
+	size := 64 + len(f.Producer)
+	for _, e := range f.Entries {
+		size += len(e.Name) + 40 // fixed text plus typical bw and capacity digits
 	}
-	body = buf.Bytes()
+	body = f.appendHeader(make([]byte, 0, size))
+	for _, e := range f.Entries {
+		body = appendRelayLine(body, e)
+	}
 	sum := sha256.Sum256(body)
 	return body, `"` + hex.EncodeToString(sum[:]) + `"`, nil
 }
@@ -118,7 +136,8 @@ func FormatV3BW(f *BandwidthFile) string {
 }
 
 // ParseV3BW parses the WriteTo/FormatV3BW text format back into a
-// bandwidth file, one line at a time.
+// bandwidth file, one line at a time. Relay lines may come in any order;
+// where a relay repeats, its last line wins.
 func ParseV3BW(r io.Reader) (*BandwidthFile, error) {
 	sc := bufio.NewScanner(r)
 	if !sc.Scan() {
@@ -128,7 +147,15 @@ func ParseV3BW(r io.Reader) (*BandwidthFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dirauth: v3bw timestamp: %w", err)
 	}
-	f := NewBandwidthFile("", time.Duration(secs)*time.Second)
+	at := time.Duration(secs) * time.Second
+	var producer string
+	var entries []BandwidthEntry
+	if l, ok := r.(interface{ Len() int }); ok {
+		// In-memory readers (bytes.Reader, strings.Reader) say how much
+		// is left: size the entries for a typical ~48-byte relay line
+		// instead of regrowing a multi-megabyte slice as lines arrive.
+		entries = make([]BandwidthEntry, 0, l.Len()/48)
+	}
 
 	// Header lines until the terminator.
 	for {
@@ -140,7 +167,7 @@ func ParseV3BW(r io.Reader) (*BandwidthFile, error) {
 			break
 		}
 		if k, v, ok := strings.Cut(line, "="); ok && k == "producer" {
-			f.Producer = v
+			producer = v
 		}
 	}
 
@@ -157,8 +184,14 @@ func ParseV3BW(r io.Reader) (*BandwidthFile, error) {
 		for len(rest) > 0 {
 			var field []byte
 			// Fields separate on spaces or tabs, as the old
-			// strings.Fields-based parser accepted.
-			if sp := bytes.IndexAny(rest, " \t"); sp >= 0 {
+			// strings.Fields-based parser accepted. A plain byte loop:
+			// fields are a few bytes long, too short for IndexAny's
+			// set-building to pay off.
+			sp := 0
+			for sp < len(rest) && rest[sp] != ' ' && rest[sp] != '\t' {
+				sp++
+			}
+			if sp < len(rest) {
 				field, rest = rest[:sp], rest[sp+1:]
 			} else {
 				field, rest = rest, nil
@@ -191,12 +224,12 @@ func ParseV3BW(r io.Reader) (*BandwidthFile, error) {
 		if name == "" {
 			return nil, fmt.Errorf("dirauth: v3bw: relay line without node_id: %q", line)
 		}
-		f.Set(name, weightBps, capacityBps)
+		entries = append(entries, BandwidthEntry{Name: name, WeightBps: weightBps, CapacityBps: capacityBps})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("dirauth: v3bw read: %w", err)
 	}
-	return f, nil
+	return NewBandwidthFile(producer, at, entries), nil
 }
 
 // MergeMedianFile aggregates several BWAuths' bandwidth files into one
@@ -205,9 +238,6 @@ func ParseV3BW(r io.Reader) (*BandwidthFile, error) {
 // capacities directly, Table 2). It is the snapshot-producing counterpart
 // of AggregateMedian, which feeds consensus weights instead.
 func MergeMedianFile(producer string, at time.Duration, files []*BandwidthFile) *BandwidthFile {
-	merged := NewBandwidthFile(producer, at)
-	for name, capBps := range MedianCapacities(files) {
-		merged.Set(name, capBps, capBps)
-	}
-	return merged
+	merged, _ := medianMerge(files, -1)
+	return NewBandwidthFile(producer, at, merged)
 }

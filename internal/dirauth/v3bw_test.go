@@ -9,9 +9,10 @@ import (
 )
 
 func TestV3BWRoundTrip(t *testing.T) {
-	f := NewBandwidthFile("bw0", 90*time.Second)
-	f.Set("relayB", 20e6, 21e6)
-	f.Set("relayA", 5e6, 5.5e6)
+	f := NewBandwidthFile("bw0", 90*time.Second, []BandwidthEntry{
+		{Name: "relayB", WeightBps: 20e6, CapacityBps: 21e6},
+		{Name: "relayA", WeightBps: 5e6, CapacityBps: 5.5e6},
+	})
 
 	text := FormatV3BW(f)
 	got, err := ParseV3BW(strings.NewReader(text))
@@ -27,7 +28,7 @@ func TestV3BWRoundTrip(t *testing.T) {
 	if len(got.Entries) != 2 {
 		t.Fatalf("entries: %v", got.Entries)
 	}
-	a := got.Entries["relayA"]
+	a, _ := got.Lookup("relayA")
 	if a.CapacityBps != 5.5e6 {
 		t.Fatalf("relayA capacity: %v", a.CapacityBps)
 	}
@@ -38,9 +39,10 @@ func TestV3BWRoundTrip(t *testing.T) {
 }
 
 func TestV3BWDeterministicOrder(t *testing.T) {
-	f := NewBandwidthFile("bw0", 0)
-	f.Set("zeta", 1e6, 1e6)
-	f.Set("alpha", 2e6, 2e6)
+	f := NewBandwidthFile("bw0", 0, []BandwidthEntry{
+		{Name: "zeta", WeightBps: 1e6, CapacityBps: 1e6},
+		{Name: "alpha", WeightBps: 2e6, CapacityBps: 2e6},
+	})
 	text := FormatV3BW(f)
 	if strings.Index(text, "node_id=alpha") > strings.Index(text, "node_id=zeta") {
 		t.Fatalf("entries not sorted:\n%s", text)
@@ -65,10 +67,11 @@ func TestV3BWParseRejectsGarbage(t *testing.T) {
 }
 
 func TestV3BWWriteToStreams(t *testing.T) {
-	f := NewBandwidthFile("bw0", 45*time.Second)
-	for i := 0; i < 5000; i++ {
-		f.Set(fmt.Sprintf("relay-%05d", i), float64(i)*1e6, float64(i)*1.1e6)
+	es := make([]BandwidthEntry, 5000)
+	for i := range es {
+		es[i] = BandwidthEntry{Name: fmt.Sprintf("relay-%05d", i), WeightBps: float64(i) * 1e6, CapacityBps: float64(i) * 1.1e6}
 	}
+	f := NewBandwidthFile("bw0", 45*time.Second, es)
 	var buf bytes.Buffer
 	n, err := f.WriteTo(&buf)
 	if err != nil {
@@ -88,11 +91,11 @@ func TestV3BWWriteToStreams(t *testing.T) {
 	if len(parsed.Entries) != 5000 {
 		t.Fatalf("entries after roundtrip: %d", len(parsed.Entries))
 	}
-	if got := parsed.Entries["relay-04999"].CapacityBps; got != 4999*1.1e6 {
-		t.Fatalf("capacity after roundtrip: %v", got)
+	if e, _ := parsed.Lookup("relay-04999"); e.CapacityBps != 4999*1.1e6 {
+		t.Fatalf("capacity after roundtrip: %v", e.CapacityBps)
 	}
-	if parsed.Entries["relay-00042"].WeightBps != 42e6 {
-		t.Fatalf("weight after roundtrip: %v", parsed.Entries["relay-00042"].WeightBps)
+	if e, _ := parsed.Lookup("relay-00042"); e.WeightBps != 42e6 {
+		t.Fatalf("weight after roundtrip: %v", e.WeightBps)
 	}
 }
 
@@ -102,7 +105,7 @@ func TestV3BWParseAcceptsTabSeparatedFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := f.Entries["r1"]
+	e, ok := f.Lookup("r1")
 	if !ok {
 		t.Fatalf("tab-separated relay line lost: %v", f.Entries)
 	}
@@ -112,10 +115,11 @@ func TestV3BWParseAcceptsTabSeparatedFields(t *testing.T) {
 }
 
 func TestV3BWWriteToPropagatesError(t *testing.T) {
-	f := NewBandwidthFile("bw0", time.Second)
-	for i := 0; i < 100000; i++ {
-		f.Set(fmt.Sprintf("relay-%06d", i), 1e6, 1e6)
+	es := make([]BandwidthEntry, 100000)
+	for i := range es {
+		es[i] = BandwidthEntry{Name: fmt.Sprintf("relay-%06d", i), WeightBps: 1e6, CapacityBps: 1e6}
 	}
+	f := NewBandwidthFile("bw0", time.Second, es)
 	w := &failAfter{limit: 100}
 	if _, err := f.WriteTo(w); err == nil {
 		t.Fatal("write error should surface")
@@ -136,22 +140,22 @@ func (w *failAfter) Write(p []byte) (int, error) {
 
 func TestMergeMedianFile(t *testing.T) {
 	mk := func(name string, caps map[string]float64) *BandwidthFile {
-		f := NewBandwidthFile(name, 0)
+		var es []BandwidthEntry
 		for n, c := range caps {
-			f.Set(n, c, c)
+			es = append(es, BandwidthEntry{Name: n, WeightBps: c, CapacityBps: c})
 		}
-		return f
+		return NewBandwidthFile(name, 0, es)
 	}
 	merged := MergeMedianFile("coord", time.Hour, []*BandwidthFile{
 		mk("a", map[string]float64{"r1": 10e6, "r2": 40e6}),
 		mk("b", map[string]float64{"r1": 20e6, "r2": 50e6}),
 		mk("c", map[string]float64{"r1": 30e6}),
 	})
-	if got := merged.Entries["r1"].CapacityBps; got != 20e6 {
-		t.Fatalf("r1 median: %v", got)
+	if e, _ := merged.Lookup("r1"); e.CapacityBps != 20e6 {
+		t.Fatalf("r1 median: %v", e.CapacityBps)
 	}
-	if got := merged.Entries["r2"].CapacityBps; got != 45e6 {
-		t.Fatalf("r2 median: %v", got)
+	if e, _ := merged.Lookup("r2"); e.CapacityBps != 45e6 {
+		t.Fatalf("r2 median: %v", e.CapacityBps)
 	}
 	if merged.Producer != "coord" || merged.At != time.Hour {
 		t.Fatalf("metadata: %q %v", merged.Producer, merged.At)
@@ -163,11 +167,11 @@ func TestMergeMedianFile(t *testing.T) {
 // file state (even across separately built files, so restarts keep
 // client caches valid), and a different ETag once the state changes.
 func TestRenderETag(t *testing.T) {
-	build := func() *BandwidthFile {
-		f := NewBandwidthFile("bw0", 90*time.Second)
-		f.Set("relayB", 20e6, 21e6)
-		f.Set("relayA", 5e6, 5.5e6)
-		return f
+	build := func(extra ...BandwidthEntry) *BandwidthFile {
+		return NewBandwidthFile("bw0", 90*time.Second, append([]BandwidthEntry{
+			{Name: "relayB", WeightBps: 20e6, CapacityBps: 21e6},
+			{Name: "relayA", WeightBps: 5e6, CapacityBps: 5.5e6},
+		}, extra...))
 	}
 
 	f := build()
@@ -194,8 +198,7 @@ func TestRenderETag(t *testing.T) {
 		t.Fatalf("equal state produced different ETags: %q vs %q", etag, etag2)
 	}
 
-	changed := build()
-	changed.Set("relayC", 1e6, 1e6)
+	changed := build(BandwidthEntry{Name: "relayC", WeightBps: 1e6, CapacityBps: 1e6})
 	_, etag3, err := changed.Render()
 	if err != nil {
 		t.Fatal(err)

@@ -167,11 +167,12 @@ func runScheduleBuild1M(opts Options) (Result, error) {
 // entry surviving the round-trip.
 func runV3BWRoundtrip(opts Options) (Result, error) {
 	const n = 1000000
-	f := dirauth.NewBandwidthFile("perf", time.Hour)
-	for i := 0; i < n; i++ {
+	entries := make([]dirauth.BandwidthEntry, n)
+	for i := range entries {
 		capBps := 1e6 * (1 + float64(i%4096)) * (1 + float64(i)*1e-8)
-		f.Set(fmt.Sprintf("relay-%07d", i), capBps, capBps)
+		entries[i] = dirauth.BandwidthEntry{Name: fmt.Sprintf("relay-%07d", i), WeightBps: capBps, CapacityBps: capBps}
 	}
+	f := dirauth.NewBandwidthFile("perf", time.Hour, entries)
 	var buf bytes.Buffer
 
 	roundtrip := func() (int, error) {
@@ -189,7 +190,7 @@ func runV3BWRoundtrip(opts Options) (Result, error) {
 		}
 		return size, nil
 	}
-	// Warmup grows the buffer and the writer's sorted-name arena.
+	// Warmup grows the buffer.
 	if _, err := roundtrip(); err != nil {
 		return Result{}, err
 	}

@@ -47,11 +47,12 @@ func runServeV3BW(opts Options) (Result, error) {
 	// Snapshot sized like a mid-size deployment: one entry per simulated
 	// relay population member, published exactly once.
 	entries := opts.relays() * 40
-	f := dirauth.NewBandwidthFile("perf", time.Hour)
-	for i := 0; i < entries; i++ {
+	es := make([]dirauth.BandwidthEntry, entries)
+	for i := range es {
 		bps := 1e6 * float64(1+i%997)
-		f.Set(fmt.Sprintf("relay-%06d", i), bps, bps*1.1)
+		es[i] = dirauth.BandwidthEntry{Name: fmt.Sprintf("relay-%06d", i), WeightBps: bps, CapacityBps: bps * 1.1}
 	}
+	f := dirauth.NewBandwidthFile("perf", time.Hour, es)
 	holder := &obs.SnapshotHolder{}
 	if err := holder.Publish(1, f, time.Unix(1700000000, 0)); err != nil {
 		return Result{}, err

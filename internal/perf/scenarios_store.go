@@ -40,12 +40,12 @@ const (
 func buildRecoveryState(dir string) (v3bwBody []byte, priors, anomalies int, err error) {
 	st := store.NewState()
 	st.Round = 42
-	f := dirauth.NewBandwidthFile("perf", time.Hour)
-	for i := 0; i < recoverRelays; i++ {
+	entries := make([]dirauth.BandwidthEntry, recoverRelays)
+	for i := range entries {
 		name := fmt.Sprintf("relay-%07d", i)
 		capBps := 1e6 * (1 + float64(i%4096)) * (1 + float64(i)*1e-8)
 		st.Priors[name] = capBps
-		f.Set(name, capBps, capBps)
+		entries[i] = dirauth.BandwidthEntry{Name: name, WeightBps: capBps, CapacityBps: capBps}
 		if i%100 == 0 {
 			st.Anomalies[name] = store.AnomalyRecord{
 				Counts:   core.AnomalyCounts{ClampedSeconds: int64(i%30 + 1), SplitViewRounds: int64(i % 3)},
@@ -53,7 +53,7 @@ func buildRecoveryState(dir string) (v3bwBody []byte, priors, anomalies int, err
 			}
 		}
 	}
-	body, _, err := f.Render()
+	body, _, err := dirauth.NewBandwidthFile("perf", time.Hour, entries).Render()
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -145,8 +145,8 @@ func runRecoverWarm(opts Options) (Result, error) {
 			return 0, err
 		}
 		seeded := make(map[string]float64, len(f.Entries))
-		for name, e := range f.Entries {
-			seeded[name] = e.CapacityBps
+		for _, e := range f.Entries {
+			seeded[e.Name] = e.CapacityBps
 		}
 		if len(seeded) != priors {
 			return 0, fmt.Errorf("perf: cold restart seeded %d priors, want %d", len(seeded), priors)

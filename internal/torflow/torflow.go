@@ -138,11 +138,11 @@ func (s *Scanner) Scan(relays []RelayState) (ScanResult, error) {
 // BandwidthFile exports a scan as a weights-only bandwidth file (TorFlow
 // provides no capacity values — Table 2).
 func (s *Scanner) BandwidthFile(at time.Duration, relays []RelayState, res ScanResult) *dirauth.BandwidthFile {
-	f := dirauth.NewBandwidthFile("torflow", at)
+	entries := make([]dirauth.BandwidthEntry, len(relays))
 	for i, r := range relays {
-		f.Set(r.Name, res.WeightBps[i], 0)
+		entries[i] = dirauth.BandwidthEntry{Name: r.Name, WeightBps: res.WeightBps[i]}
 	}
-	return f
+	return dirauth.NewBandwidthFile("torflow", at, entries)
 }
 
 // AttackAdvantage quantifies the self-report inflation attack: a malicious

@@ -163,12 +163,12 @@ func TestBandwidthFileWeightsOnly(t *testing.T) {
 	if len(f.Entries) != 5 {
 		t.Fatalf("entries: %d", len(f.Entries))
 	}
-	for name, e := range f.Entries {
+	for _, e := range f.Entries {
 		if e.CapacityBps != 0 {
-			t.Fatalf("TorFlow must not report capacities (%s: %v)", name, e.CapacityBps)
+			t.Fatalf("TorFlow must not report capacities (%s: %v)", e.Name, e.CapacityBps)
 		}
 		if e.WeightBps <= 0 {
-			t.Fatalf("weight nonpositive for %s", name)
+			t.Fatalf("weight nonpositive for %s", e.Name)
 		}
 	}
 }

@@ -71,10 +71,13 @@ type MeasureOptions struct {
 	DialData Dialer
 	// OnSecond, when set, is called once per completed wall-clock second
 	// of the slot, in order, with this measurer's echoed bytes during that
-	// second. The callback runs on a dedicated goroutine; it must return
-	// quickly. It is a live view — cells still in flight at the second
-	// boundary land in the authoritative PerSecondBytes of the final
-	// MeasureResult.
+	// second — one call per entry of PerSecondBytes (only the elapsed
+	// ones if the slot failed). While the slot runs, the callback runs on
+	// a dedicated goroutine; the seconds that goroutine had not reached
+	// when the slot ended follow from Measure's own goroutine before it
+	// returns, never concurrently. It must return quickly. It is a live
+	// view — cells still in flight at the second boundary land in the
+	// authoritative PerSecondBytes of the final MeasureResult.
 	OnSecond func(second int, bytes float64)
 }
 
@@ -151,11 +154,12 @@ func Measure(ctx context.Context, dial Dialer, opts MeasureOptions) (MeasureResu
 
 	done := make(chan struct{})
 	var streamWG sync.WaitGroup
+	streamed := 0
 	if opts.OnSecond != nil {
 		streamWG.Add(1)
 		go func() {
 			defer streamWG.Done()
-			streamSeconds(ctx, done, start, buckets, opts.OnSecond)
+			streamed = streamSeconds(ctx, done, start, buckets, opts.OnSecond)
 		}()
 	}
 
@@ -164,7 +168,14 @@ func Measure(ctx context.Context, dial Dialer, opts MeasureOptions) (MeasureResu
 	streamWG.Wait()
 
 	completed := seconds
-	if ctxErr := ctx.Err(); ctxErr != nil {
+	ctxErr := ctx.Err()
+	if dl, ok := ctx.Deadline(); ctxErr == nil && err != nil && ok && !time.Now().Before(dl) {
+		// The connection wears ctx's deadline, and its timer can fire
+		// before ctx's own: a slot the deadline tore down is a cancelled
+		// slot even if ctx has not noticed yet.
+		ctxErr = context.DeadlineExceeded
+	}
+	if ctxErr != nil {
 		// Normalize the teardown errors (closed connections, expired
 		// deadlines) to the context's own error, and report only the fully
 		// elapsed seconds.
@@ -178,17 +189,32 @@ func Measure(ctx context.Context, dial Dialer, opts MeasureOptions) (MeasureResu
 	for j := 0; j < completed; j++ {
 		res.PerSecondBytes[j] = float64(buckets[j].Load())
 	}
+	// The streamer stops as soon as the slot ends, usually before the
+	// last second's flush boundary: hand the completed seconds it did not
+	// reach to the callback now, so the live stream ends with the slot
+	// instead of a second later. A slot that failed early still never
+	// streams a second that had not elapsed.
+	if opts.OnSecond != nil {
+		tail := completed
+		if err != nil {
+			tail = min(tail, int(time.Since(start)/time.Second))
+		}
+		for j := streamed; j < tail; j++ {
+			opts.OnSecond(j, res.PerSecondBytes[j])
+		}
+	}
 	return res, err
 }
 
-// streamSeconds delivers each completed second's byte count to onSecond.
-// It waits slightly past every second boundary so late atomic adds from
-// the reader goroutine are included, and stops as soon as the slot is done
-// or the context is cancelled — an interrupted slot never streams a second
-// it did not complete.
+// streamSeconds delivers each completed second's byte count to onSecond
+// and returns how many seconds it delivered. It waits slightly past every
+// second boundary so late atomic adds from the reader goroutine are
+// included, and stops as soon as the slot is done or the context is
+// cancelled — an interrupted slot never streams a second it did not
+// complete. Measure delivers the rest of the completed seconds.
 const streamFlushSlack = 20 * time.Millisecond
 
-func streamSeconds(ctx context.Context, done <-chan struct{}, start time.Time, buckets []atomic.Uint64, onSecond func(int, float64)) {
+func streamSeconds(ctx context.Context, done <-chan struct{}, start time.Time, buckets []atomic.Uint64, onSecond func(int, float64)) int {
 	timer := time.NewTimer(0)
 	if !timer.Stop() {
 		<-timer.C
@@ -200,12 +226,13 @@ func streamSeconds(ctx context.Context, done <-chan struct{}, start time.Time, b
 		select {
 		case <-timer.C:
 		case <-ctx.Done():
-			return
+			return j
 		case <-done:
-			return
+			return j
 		}
 		onSecond(j, float64(buckets[j].Load()))
 	}
+	return len(buckets)
 }
 
 // flowWindow bounds the un-echoed cells in flight on a connection with a
@@ -467,7 +494,10 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 					break gather
 				}
 			}
-			if writerErr == nil {
+			// Past the slot's end an echo can no longer count, so what
+			// is still queued goes back unsent: at a sliver allocation
+			// the queue alone holds over a second of paced traffic.
+			if writerErr == nil && time.Now().Before(deadline) {
 				pace.wait(float64(bits))
 				bufs = backing[:0]
 				for _, r := range reqs {
@@ -509,6 +539,7 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 	if nShards > nCirc {
 		nShards = nCirc
 	}
+	shardCells := pace.batchCells()
 	var cellCtr atomic.Int64
 	var shardWG sync.WaitGroup
 	frees := make([]chan *[]byte, nShards)
@@ -533,7 +564,7 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 				if !now.Before(deadline) || ctx.Err() != nil {
 					return
 				}
-				n := window.tryAcquire(cell.BatchCells)
+				n := window.tryAcquire(shardCells)
 				if n == 0 {
 					timer.Reset(deadline.Sub(now))
 					select {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"flashflow/internal/cell"
 )
 
 // pacer throttles aggregate throughput to rateBps using wall-clock time.
@@ -83,6 +85,20 @@ func (p *pacer) quantumBits() float64 {
 		return math.Inf(1)
 	}
 	return p.rateBps * pacerMaxSleep.Seconds()
+}
+
+// batchCells is how many cells a sender shard takes per batch: a full
+// cell.BatchCells, capped at one pacing quantum's worth (at least one
+// cell). At a sliver allocation — tens of kbit/s — a full batch is over
+// 130 kbit, and pacing it would park the writer for seconds in one wait,
+// past the slot's end. From about 6.6 Mbit/s up a quantum holds a whole
+// batch and the cap never binds.
+func (p *pacer) batchCells() int64 {
+	n := int64(cell.BatchCells)
+	if q := p.quantumBits() / (cell.Size * 8); q < float64(n) {
+		n = max(1, int64(q))
+	}
+	return n
 }
 
 func (p *pacer) clockNow() time.Time {

@@ -3,6 +3,8 @@ package wire
 import (
 	"testing"
 	"time"
+
+	"flashflow/internal/cell"
 )
 
 // fakeClock drives a pacer deterministically: clock() returns the current
@@ -165,5 +167,43 @@ func TestPacerQuantumBits(t *testing.T) {
 	p0 := &pacer{}
 	if got := p0.quantumBits(); !(got > 1e18) {
 		t.Fatalf("unpaced quantumBits should be unbounded, got %v", got)
+	}
+}
+
+// TestPacerBatchCellsSliverAllocation pins the shard batch cap: a full
+// batch at measurement rates, and at a ~50 kbit/s sliver one cell, so
+// that no single wait sleeps longer than max(pacerMaxSleep, one cell
+// time) — a full 32-cell batch there would sleep over 2.6 s.
+func TestPacerBatchCellsSliverAllocation(t *testing.T) {
+	const cellBits = cell.Size * 8
+	for _, tc := range []struct {
+		rate float64
+		want int64
+	}{
+		{0, cell.BatchCells},
+		{31e6, cell.BatchCells},
+		{1e9, cell.BatchCells},
+		{1e6, 4},
+		{50e3, 1},
+		{1e3, 1},
+	} {
+		p, fc := newFakePacer(tc.rate)
+		n := p.batchCells()
+		if n != tc.want {
+			t.Fatalf("rate %.0f: batchCells %d, want %d", tc.rate, n, tc.want)
+		}
+		if tc.rate == 0 {
+			continue
+		}
+		cellTime := time.Duration(float64(cellBits) / tc.rate * float64(time.Second))
+		bound := max(pacerMaxSleep, cellTime)
+		for i := 0; i < 20; i++ {
+			p.wait(float64(n * cellBits))
+		}
+		for i, d := range fc.sleeps {
+			if d > bound+time.Microsecond {
+				t.Fatalf("rate %.0f: wait %d slept %v, bound %v", tc.rate, i, d, bound)
+			}
+		}
 	}
 }

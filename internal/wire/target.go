@@ -163,6 +163,11 @@ func (t *Target) HandleConn(conn net.Conn) error {
 		return nil
 	}
 	t.conns[conn] = struct{}{}
+	// Join the handler group under the same lock as the closed check, so
+	// Close waits for a handler its caller started directly, not only for
+	// the ones Serve started.
+	t.wg.Add(1)
+	defer t.wg.Done()
 	allowed := make(map[string]bool, len(t.allowed))
 	for k := range t.allowed {
 		allowed[k] = true

@@ -50,8 +50,8 @@ func PutBatch(b *[]byte) {
 
 // SuperBatches is the number of 32-cell batches carried by one pooled
 // super arena. A super arena is the unit of the multiplexed data plane's
-// vectored I/O: senders gather up to SuperBatches batch buffers into one
-// writev, and readers refill from one SuperBytes-long buffer, so a single
+// I/O: the measurer's send loop writes up to SuperCells cells from one
+// arena with a single Write, and readers refill into one, so a single
 // syscall moves up to SuperBatches×BatchCells cells.
 const SuperBatches = 8
 

@@ -233,18 +233,10 @@ type pooledConn struct {
 }
 
 var _ wire.Session = (*pooledConn)(nil)
-var _ wire.NetConner = (*pooledConn)(nil)
 
 func (c *pooledConn) Authenticated() bool { return c.authed }
 func (c *pooledConn) MarkAuthenticated()  { c.authed = true }
 func (c *pooledConn) MarkReusable()       { c.reusable = true }
-
-// NetConn exposes the underlying connection so the wire layer's vectored
-// batch writes reach the real *net.TCPConn (net.Buffers only does a true
-// writev on an unwrapped TCP connection). Reads and single writes stay on
-// the wrapper; only Close carries pool semantics, and the wire layer
-// never closes through the transport.
-func (c *pooledConn) NetConn() net.Conn { return c.Conn }
 
 // Close parks the connection if the measurement marked it reusable,
 // otherwise really closes it (mid-protocol aborts must never be reused).

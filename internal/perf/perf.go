@@ -101,7 +101,6 @@ func Scenarios() []Scenario {
 		{Name: "wire-echo-single", Desc: "one measurement circuit over loopback TCP, unlimited rate", Run: runWireEchoSingle},
 		{Name: "wire-echo-team", Desc: "two-measurer team, one multiplexed connection each, one target", Run: runWireEchoTeam},
 		{Name: "wire-echo-mux", Desc: "eight circuits multiplexed on a single connection, unlimited rate", Run: runWireEchoMux},
-		{Name: "wire-echo-mux-par", Desc: "wire-echo-mux through the target's parallel decrypt pipeline; on ≥4 procs fails unless ≥1.2x the inline target", Run: runWireEchoMuxPar},
 		{Name: "wire-echo-udp", Desc: "wire-echo-mux over the UDP data plane (TCP control, loopback datagrams) with loss accounting", Run: runWireEchoUDP},
 		{Name: "coord-round", Desc: "coordinator scheduling round over a simulated relay population", Run: runCoordRound},
 		{Name: "coord-round-abort", Desc: "slot-seconds saved by §4.2 early abort vs fixed-length slots, undersized priors", Run: runCoordRoundAbort},

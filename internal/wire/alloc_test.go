@@ -8,101 +8,108 @@ import (
 	"flashflow/internal/cell"
 )
 
-// Zero-allocation guards for the multiplexed measurement data plane
-// (ISSUE 8 acceptance: 0 allocs/cell on the encode, echo, and decode hot
-// paths). Each test exercises the exact per-cell operations its wire path
-// performs, minus the socket: the socket I/O itself (reads, writes, and
-// vectored batch writes on pooled buffers) does not allocate, so these
-// guards pin the full per-cell cost.
+// Zero-allocation guards for the multiplexed measurement data plane: 0
+// allocs/cell on the encode, echo, and decode hot paths. Each test
+// exercises the exact per-cell operations its wire path performs, minus
+// the socket; TestWriterGatherZeroAllocs checks the one socket Write per
+// send pass on its own, so together the guards pin the full per-cell cost.
 
-// TestSenderAssemblyZeroAllocs covers a sender shard's batch assembly:
-// the round-robin header rewrite over a zero-payload batch plus the
-// window accounting. Payloads are zeroed once per buffer adoption, not
-// per send, so the steady-state encode cost is the header alone.
+// TestSenderAssemblyZeroAllocs covers one pass of the measurer's send
+// loop on both planes: window credit for a whole write, the round-robin
+// header (and, on the datagram plane, sequence) stamping over the
+// zero-payload arena, the pacer, and the Write itself — here into an
+// io.Writer that discards, in place of the socket.
 func TestSenderAssemblyZeroAllocs(t *testing.T) {
-	buf := cell.GetBatch()
-	defer cell.PutBatch(buf)
-	out := *buf
-	clearPayloads(out)
-	window := newFlowWindow(4 * cell.BatchCells)
-	const nCirc = 8
-	var base int64
-	if n := testing.AllocsPerRun(100, func() {
-		got := window.tryAcquire(cell.BatchCells)
-		for i := int64(0); i < got; i++ {
-			id := uint32((base+i)%nCirc) + 1
-			cell.PutHeader(out[i*cell.Size:], id, cell.MsmtData)
+	for _, tc := range []struct {
+		udp   bool
+		limit int
+	}{{false, cell.SuperCells}, {true, udpDatagramCells}} {
+		arena := cell.GetSuper()
+		defer cell.PutSuper(arena)
+		var pace pacer
+		snd := newSender(io.Discard, &pace, *arena, batchCells(pace.quantumBits(), tc.limit), 8, tc.udp)
+		window := newFlowWindow(maxWindowCells)
+		if n := testing.AllocsPerRun(100, func() {
+			if !window.tryAcquire(int64(snd.n)) {
+				t.Fatal("window has no room for one write")
+			}
+			if err := snd.write(); err != nil {
+				t.Fatal(err)
+			}
+			window.release(int64(snd.n))
+		}); n != 0 {
+			t.Fatalf("send pass (udp=%v): %v allocs per %d-cell write, want 0", tc.udp, n, snd.n)
 		}
-		base += got
-		window.release(got)
-	}); n != 0 {
-		t.Fatalf("sender assembly path: %v allocs per %d-cell batch, want 0", n, cell.BatchCells)
 	}
 }
 
-// discardTransport consumes vectored writes the way a real connection
-// does — through the *net.Buffers pointer — without the socket.
-type discardTransport struct{}
-
-func (discardTransport) Read(p []byte) (int, error)  { return 0, io.EOF }
-func (discardTransport) Write(p []byte) (int, error) { return len(p), nil }
-func (discardTransport) WriteBatches(bufs *net.Buffers) error {
-	_, err := bufs.WriteTo(io.Discard)
-	return err
-}
-
-// TestWriterGatherZeroAllocs covers the paced writer's gather loop: the
-// vector is rebuilt over a long-lived backing array and handed to
-// WriteBatches by pointer. The vector variable must live outside the loop
-// — a per-iteration declaration escapes through the pointer and costs one
-// heap allocation per vectored write (the last steady-state allocation the
-// send path had).
+// TestWriterGatherZeroAllocs covers the writer's hand-off to the socket.
+// A pass's cells already sit contiguous in the sender's arena, so there
+// is no vector to gather: the whole write is one Write of one slice. The
+// guard runs that Write over a real loopback TCP connection, drained by a
+// reader into a fixed buffer, so it pins the socket path the send loop
+// uses and not a stand-in writer.
 func TestWriterGatherZeroAllocs(t *testing.T) {
-	var tr Transport = discardTransport{}
-	batches := make([]*[]byte, cell.SuperBatches)
-	for i := range batches {
-		b := cell.GetBatch()
-		defer cell.PutBatch(b)
-		batches[i] = b
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	backing := make(net.Buffers, cell.SuperBatches)
-	var bufs net.Buffers
-	if n := testing.AllocsPerRun(100, func() {
-		bufs = backing[:0]
-		for _, b := range batches {
-			bufs = append(bufs, (*b)[:cell.BatchBytes])
+	defer ln.Close()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		c, err := ln.Accept()
+		if err != nil {
+			return
 		}
-		if err := tr.WriteBatches(&bufs); err != nil {
+		defer c.Close()
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := c.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := cell.GetSuper()
+	defer cell.PutSuper(arena)
+	var pace pacer
+	snd := newSender(conn, &pace, *arena, cell.SuperCells, 8, false)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := snd.write(); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("writer gather path: %v allocs per %d-batch vectored write, want 0", n, cell.SuperBatches)
+		t.Fatalf("writer path: %v allocs per %d-cell socket write, want 0", n, snd.n)
 	}
+	conn.Close()
+	<-drained
 }
 
 // allocTestMux builds a muxState with nCirc live circuits for hot-path
 // guards, bypassing the handshake.
-func allocTestMux(t *testing.T, nCirc int, nWorkers int32) *muxState {
+func allocTestMux(t *testing.T, nCirc int) *muxState {
 	t.Helper()
-	ms := &muxState{t: &Target{}, nWorkers: nWorkers}
+	ms := &muxState{t: &Target{}}
 	for id := uint32(1); id <= uint32(nCirc); id++ {
 		circ, err := cell.NewCircuit(id, []byte("alloc"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms.circuits.set(id, &circEntry{st: circ.Forward, worker: int32(id % uint32(nWorkers))})
+		ms.circuits.set(id, &circEntry{st: circ.Forward})
 	}
 	return ms
 }
 
-// TestTargetEchoPathZeroAllocs covers serveMux's per-batch work in its
-// post-pipeline shape: demux into per-circuit spans (rotating IDs so the
-// span set is rebuilt from scratch every batch) followed by span-wise
-// decryption — the exact work the inline path does and the reader/worker
-// stages split between them.
+// TestTargetEchoPathZeroAllocs covers serveMux's per-batch work: demux
+// into per-circuit spans (rotating IDs so the span set is rebuilt from
+// scratch every batch) followed by span-wise decryption.
 func TestTargetEchoPathZeroAllocs(t *testing.T) {
 	const nCirc = 8
-	ms := allocTestMux(t, nCirc, 4)
+	ms := allocTestMux(t, nCirc)
 	buf := cell.GetBatch()
 	defer cell.PutBatch(buf)
 	batch := *buf
@@ -137,7 +144,7 @@ func TestTargetEchoPathZeroAllocs(t *testing.T) {
 // everything serveUDPDatagram does between recvfrom and sendto.
 func TestUDPDatagramPathZeroAllocs(t *testing.T) {
 	const nCirc = 8
-	ms := allocTestMux(t, nCirc, 1)
+	ms := allocTestMux(t, nCirc)
 	tgt := ms.t
 	dg := make([]byte, udpDatagramBytes)
 	scratch := cell.NewSpanScratch()

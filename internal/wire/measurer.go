@@ -8,9 +8,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,8 +51,8 @@ type MeasureOptions struct {
 	// parallelism parameter is preserved while the kernel handles one
 	// socket per measurer↔target pair.
 	Sockets int
-	// RateBps is the measurer's allocation a_i; the connection's single
-	// paced writer holds the aggregate to it.
+	// RateBps is the measurer's allocation a_i; the connection's one paced
+	// send loop holds the aggregate to it.
 	RateBps float64
 	// Duration is the measurement slot length t.
 	Duration time.Duration
@@ -112,7 +112,8 @@ const maxCircuits = cell.SuperCells
 // circuit queue length limits" (§3.4). Without a window, a fast sender
 // buries a slower target in kernel buffers and the slot cannot drain
 // cleanly. A small multiple of the batch size keeps batching from starving
-// the pipeline.
+// the pipeline, and even a one-circuit window must hold the send loop's
+// largest write (cell.SuperCells), which takes its credit all at once.
 const inflightWindow = 8 * cell.BatchCells
 
 // maxWindowCells caps the aggregate window across all circuits (~1 MiB in
@@ -121,11 +122,10 @@ const maxWindowCells = 2048
 
 // Measure runs one measurer's side of a measurement slot: it opens one
 // connection, authenticates, multiplexes opts.Sockets measurement circuits
-// onto it, then streams MsmtData cells as fast as the rate allows —
-// sharded fillers assembling batches behind a single paced writer that
-// ships several batches per vectored write — while one reader demultiplexes
-// the echo stream by circuit ID and spot-verifies contents with
-// probability p.
+// onto it, then streams MsmtData cells as fast as the rate allows — one
+// paced send loop, each pass a single Write of up to a super-batch of
+// cells — while one reader demultiplexes the echo stream by circuit ID and
+// spot-verifies contents with probability p.
 //
 // Cancelling ctx tears the slot down promptly: the connection is closed
 // (and, when ctx carries a deadline, the connection also wears that
@@ -235,11 +235,9 @@ func streamSeconds(ctx context.Context, done <-chan struct{}, start time.Time, b
 	return len(buckets)
 }
 
-// flowWindow bounds the un-echoed cells in flight on a connection with a
-// single atomic counter shared by every sender shard, replacing the old
-// per-cell token-channel operations. release wakes at most one blocked
-// shard; further releases arrive batch-by-batch from the reader, so a
-// briefly missed wakeup self-heals.
+// flowWindow bounds the un-echoed cells in flight on a connection: the
+// send loop takes credit, the echo reader returns it, and release wakes
+// the send loop when it is blocked on a full window.
 type flowWindow struct {
 	capacity int64
 	inflight atomic.Int64
@@ -250,23 +248,21 @@ func newFlowWindow(capacity int64) *flowWindow {
 	return &flowWindow{capacity: capacity, wake: make(chan struct{}, 1)}
 }
 
-// tryAcquire takes up to n in-flight slots without blocking and returns
-// how many it took (possibly zero).
-func (w *flowWindow) tryAcquire(n int64) int64 {
-	for {
-		cur := w.inflight.Load()
-		free := w.capacity - cur
-		if free <= 0 {
-			return 0
-		}
-		take := min(free, n)
-		if w.inflight.CompareAndSwap(cur, cur+take) {
-			return take
-		}
+// tryAcquire takes n in-flight slots if all n are free and reports whether
+// it did. The send loop is the only acquirer and the reader only frees
+// slots, so the room the check sees cannot shrink before the add. The
+// capacity must be at least n, or the sender waits forever.
+func (w *flowWindow) tryAcquire(n int64) bool {
+	if w.capacity-w.inflight.Load() < n {
+		return false
 	}
+	w.inflight.Add(n)
+	return true
 }
 
-// release returns n slots and signals one waiter.
+// release returns n slots and wakes the send loop. The wake channel holds
+// one token, so a release that lands between a failed tryAcquire and the
+// wait is not lost.
 func (w *flowWindow) release(n int64) {
 	w.inflight.Add(-n)
 	select {
@@ -303,19 +299,52 @@ func checkThreshold(p float64) uint64 {
 	return uint64(p * float64(math.MaxUint64))
 }
 
-// sendReq is one filled batch handed from a sender shard to the paced
-// writer. free is the shard's buffer-recycling channel: the writer pushes
-// the buffer back after the vectored write so the shard can refill it.
-type sendReq struct {
-	buf  *[]byte
-	n    int
-	free chan *[]byte
+// sender is a measurement's paced send loop state. Each write carries the
+// next n cells of a strict round-robin over the circuits. Measurement
+// cells travel with all-zero payloads, so the arena's payloads are zeroed
+// once and a write rewrites only the 5-byte headers (and, on the datagram
+// plane, the send sequence). The proof of work stays with the target:
+// decrypting a zero payload materializes its forward keystream, which is
+// exactly what the reader verifies.
+type sender struct {
+	w     io.Writer
+	pace  *pacer
+	arena []byte // n cells, payloads zero
+	n     int    // cells per write
+	nCirc int64
+	udp   bool
+	sent  int64 // cells written so far
 }
 
-// shardBufs is how many batch buffers each sender shard cycles through
-// the writer; enough that a shard keeps filling while its previous batches
-// sit in a gathered writev.
-const shardBufs = 4
+func newSender(w io.Writer, pace *pacer, arena []byte, n, nCirc int, udp bool) *sender {
+	arena = arena[:n*cell.Size]
+	clear(arena)
+	return &sender{w: w, pace: pace, arena: arena, n: n, nCirc: int64(nCirc), udp: udp}
+}
+
+// write stamps the next n cells, waits for the pacer, and sends them with
+// one Write — on the datagram plane, one datagram. The caller holds window
+// credit for the n cells.
+func (s *sender) write() error {
+	for i := 0; i < s.n; i++ {
+		c := s.sent + int64(i)
+		cb := s.arena[i*cell.Size:]
+		cell.PutHeader(cb, uint32(c%s.nCirc)+1, cell.MsmtData)
+		if s.udp {
+			// Strict round-robin makes the circuit's send sequence
+			// derivable from the cell count; the datagram plane carries it
+			// in the clear so the echo survives loss and reordering (see
+			// udp.go).
+			binary.BigEndian.PutUint64(cb[5:], uint64(c/s.nCirc))
+		}
+	}
+	s.pace.wait(float64(len(s.arena) * 8))
+	if _, err := s.w.Write(s.arena); err != nil {
+		return fmt.Errorf("send cells: %w", err)
+	}
+	s.sent += int64(s.n)
+	return nil
+}
 
 // measureConn drives one multiplexed measurement connection.
 func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc int, start time.Time, buckets []atomic.Uint64, seconds int) (MeasureResult, error) {
@@ -374,12 +403,11 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 		}
 	}
 
-	tr := NewConnTransport(conn)
 	readBuf := cell.GetSuper()
 	defer cell.PutSuper(readBuf)
-	cr := newCellReader(tr, *readBuf)
+	cr := newCellReader(conn, *readBuf)
 
-	circs, err := createCircuits(tr, cr, nCirc)
+	circs, err := createCircuits(conn, cr, nCirc)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return res, ctxErr
@@ -388,13 +416,12 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 	}
 
 	// Datagram data plane: bind over the control connection, then swap the
-	// data path's transport and echo reader. Control traffic keeps using tr
+	// data path's writer and echo reader. Control traffic keeps using conn
 	// and cr throughout.
 	udp := opts.DialData != nil
-	dataTr := tr
-	var udpTr *udpTransport
+	var dataW io.Writer = conn
 	if udp {
-		dc, err := setupUDP(tr, cr, opts.DialData)
+		dc, err := setupUDP(conn, cr, opts.DialData)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return res, ctxErr
@@ -415,9 +442,7 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 		if dl, ok := ctx.Deadline(); ok {
 			_ = dc.SetDeadline(dl)
 		}
-		udpTr = newUDPTransport(dc)
-		defer udpTr.release()
-		dataTr = udpTr
+		dataW = dc
 	}
 
 	deadline := start.Add(opts.Duration)
@@ -455,184 +480,41 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 		return res, e
 	}
 
-	// Writer: the single paced exit point for measurement cells. It drains
-	// the shard queue greedily, credits the pacer once per gathered
-	// super-batch, and ships the whole gather with one vectored write.
+	// Sender: this goroutine is the connection's one paced exit point for
+	// measurement cells. Each pass takes window credit for a whole write,
+	// or waits for the reader to return some.
 	var pace pacer
 	pace.rateBps = opts.RateBps
-	sendQ := make(chan sendReq, 2*cell.SuperBatches)
-	writerExit := make(chan struct{})
-	var writerErr error
-	go func() {
-		defer close(writerExit)
-		backing := make(net.Buffers, cell.SuperBatches)
-		reqs := make([]sendReq, 0, cell.SuperBatches)
-		// bufs lives outside the loop: WriteBatches takes its address, so a
-		// per-iteration declaration would heap-allocate the slice header on
-		// every vectored write (it was the last steady-state allocation on
-		// the send path).
-		var bufs net.Buffers
-		// Gather no more bits per vectored write than one pacing quantum:
-		// syscall batching pays off when the rate is high enough that many
-		// batches fit in a quantum, while at low rates a full super-gather
-		// would pace for hundreds of milliseconds per write and turn the
-		// send stream into coarse bursts.
-		quantum := pace.quantumBits()
-		for req := range sendQ {
-			reqs = append(reqs[:0], req)
-			bits := req.n * cell.Size * 8
-		gather:
-			for len(reqs) < cell.SuperBatches && float64(bits) < quantum {
-				select {
-				case r, ok := <-sendQ:
-					if !ok {
-						break gather
-					}
-					reqs = append(reqs, r)
-					bits += r.n * cell.Size * 8
-				default:
-					break gather
-				}
-			}
-			// Past the slot's end an echo can no longer count, so what
-			// is still queued goes back unsent: at a sliver allocation
-			// the queue alone holds over a second of paced traffic.
-			if writerErr == nil && time.Now().Before(deadline) {
-				pace.wait(float64(bits))
-				bufs = backing[:0]
-				for _, r := range reqs {
-					bufs = append(bufs, (*r.buf)[:r.n*cell.Size])
-				}
-				if err := dataTr.WriteBatches(&bufs); err != nil {
-					writerErr = fmt.Errorf("send cells: %w", err)
-					// Unblock the reader (and through readerExit, the
-					// shards); keep draining sendQ so no shard wedges on a
-					// full queue.
-					closeConn()
-				} else {
-					for _, r := range reqs {
-						sentCells.Add(int64(r.n))
-					}
-				}
-			}
-			for _, r := range reqs {
-				r.free <- r.buf
-			}
-		}
-		// The datagram transport stages cells until a full datagram; ship
-		// the slot's ragged tail before the End exchange counts on it.
-		if udpTr != nil && writerErr == nil {
-			if err := udpTr.Flush(); err != nil {
-				writerErr = err
-				closeConn()
-			}
-		}
-	}()
-
-	// Sender shards: independent goroutines assembling batches for the
-	// writer. Payloads are zeroed once per buffer — measurement cells
-	// travel with all-zero payloads, so per-cell work is just the 5-byte
-	// header naming the next circuit in round-robin order. The proof of
-	// work stays with the target: decrypting a zero payload materializes
-	// its forward keystream, which is exactly what the reader verifies.
-	nShards := runtime.GOMAXPROCS(0)
-	if nShards > nCirc {
-		nShards = nCirc
+	limit := cell.SuperCells
+	if udp {
+		limit = udpDatagramCells
 	}
-	shardCells := pace.batchCells()
-	var cellCtr atomic.Int64
-	var shardWG sync.WaitGroup
-	frees := make([]chan *[]byte, nShards)
-	for s := 0; s < nShards; s++ {
-		free := make(chan *[]byte, shardBufs)
-		for i := 0; i < shardBufs; i++ {
-			b := cell.GetBatch()
-			clearPayloads(*b)
-			free <- b
+	arena := cell.GetSuper()
+	defer cell.PutSuper(arena)
+	snd := newSender(dataW, &pace, *arena, batchCells(pace.quantumBits(), limit), nCirc, udp)
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	for {
+		now := time.Now()
+		if !now.Before(deadline) || ctx.Err() != nil {
+			break
 		}
-		frees[s] = free
-		shardWG.Add(1)
-		go func(free chan *[]byte) {
-			defer shardWG.Done()
-			timer := time.NewTimer(time.Hour)
-			if !timer.Stop() {
-				<-timer.C
+		if window.tryAcquire(int64(snd.n)) {
+			if err := snd.write(); err != nil {
+				return abort(err)
 			}
-			defer timer.Stop()
-			for {
-				now := time.Now()
-				if !now.Before(deadline) || ctx.Err() != nil {
-					return
-				}
-				n := window.tryAcquire(shardCells)
-				if n == 0 {
-					timer.Reset(deadline.Sub(now))
-					select {
-					case <-window.wake:
-						if !timer.Stop() {
-							<-timer.C
-						}
-					case <-timer.C:
-					case <-ctx.Done():
-						timer.Stop()
-						return
-					case <-readerExit:
-						timer.Stop()
-						return
-					}
-					continue
-				}
-				var buf *[]byte
-				select {
-				case buf = <-free:
-				case <-ctx.Done():
-					window.release(n)
-					return
-				case <-readerExit:
-					window.release(n)
-					return
-				}
-				out := *buf
-				base := cellCtr.Add(n) - n
-				for i := int64(0); i < n; i++ {
-					id := uint32((base+i)%int64(nCirc)) + 1
-					cell.PutHeader(out[i*cell.Size:], id, cell.MsmtData)
-					if udp {
-						// Strict round-robin makes the circuit's send
-						// sequence derivable from the global counter; the
-						// datagram plane carries it in the clear so the
-						// echo survives loss and reordering (see udp.go).
-						binary.BigEndian.PutUint64(out[i*cell.Size+5:], uint64((base+i)/int64(nCirc)))
-					}
-				}
-				select {
-				case sendQ <- sendReq{buf: buf, n: int(n), free: free}:
-				case <-ctx.Done():
-					free <- buf
-					window.release(n)
-					return
-				case <-readerExit:
-					free <- buf
-					window.release(n)
-					return
-				}
-			}
-		}(free)
-	}
-
-	shardWG.Wait()
-	close(sendQ)
-	<-writerExit
-	// All batch buffers are back in the shard free lists now: shards exit
-	// holding nothing and the writer returns every queued buffer.
-	for _, free := range frees {
-		for i := 0; i < shardBufs; i++ {
-			cell.PutBatch(<-free)
+			continue
+		}
+		timer.Reset(deadline.Sub(now))
+		select {
+		case <-window.wake:
+		case <-timer.C:
+		case <-ctx.Done():
+		case <-readerExit:
+			return abort(readerErr)
 		}
 	}
-	if writerErr != nil {
-		return abort(writerErr)
-	}
+	sentCells.Store(snd.sent)
 	if err := ctx.Err(); err != nil {
 		return abort(err)
 	}
@@ -655,7 +537,7 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 		cell.PutHeader(cb, uint32(i)+1, cell.MsmtEnd)
 		clear(cell.PayloadOf(cb))
 	}
-	_, werr := tr.Write(out[:nCirc*cell.Size])
+	_, werr := conn.Write(out[:nCirc*cell.Size])
 	cell.PutSuper(endBuf)
 	if werr != nil {
 		return abort(fmt.Errorf("send end: %w", werr))
@@ -718,21 +600,12 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 	return res, nil
 }
 
-// clearPayloads zeroes the payload bytes of every cell slot in a pooled
-// batch buffer. Done once when a shard adopts the buffer: headers are
-// rewritten per send, payloads stay zero for the buffer's whole life.
-func clearPayloads(buf []byte) {
-	for off := 0; off+cell.Size <= len(buf); off += cell.Size {
-		clear(buf[off+5 : off+cell.Size])
-	}
-}
-
 // createCircuits establishes nCirc measurement circuits in-band: one
 // MsmtCreate cell per circuit carrying a fresh X25519 public key, shipped
 // in batched writes and answered by the target's MsmtCreated rewrites. It
 // returns each circuit's forward keystream — the random-access view the
 // reader verifies sampled echoes against.
-func createCircuits(tr Transport, cr *cellReader, nCirc int) ([]*cell.Keystream, error) {
+func createCircuits(w io.Writer, cr *cellReader, nCirc int) ([]*cell.Keystream, error) {
 	curve := ecdh.X25519()
 	privs := make([]*ecdh.PrivateKey, nCirc)
 	buf := cell.GetSuper()
@@ -752,7 +625,7 @@ func createCircuits(tr Transport, cr *cellReader, nCirc int) ([]*cell.Keystream,
 			copy(p[:32], priv.PublicKey().Bytes())
 			clear(p[32:])
 		}
-		if _, err := tr.Write(out[:n*cell.Size]); err != nil {
+		if _, err := w.Write(out[:n*cell.Size]); err != nil {
 			return nil, fmt.Errorf("send create: %w", err)
 		}
 		sent += n
@@ -789,7 +662,7 @@ func createCircuits(tr Transport, cr *cellReader, nCirc int) ([]*cell.Keystream,
 	return ks, nil
 }
 
-// runEchoReader consumes the echo stream: large vectored refills through
+// runEchoReader consumes the echo stream: large refills through
 // the cellReader, per-cell demux by circuit ID, per-batch byte accounting
 // and window release, and deterministic spot checks verified against each
 // circuit's forward keystream. Cells travel with zero payloads, so an

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync/atomic"
@@ -34,7 +35,7 @@ const udpLingerGrace = 250 * time.Millisecond
 // setupUDP binds a datagram data plane: MsmtUdp bind over the control
 // connection, then the hello exchange on a freshly dialed data socket.
 // Returns the data connection with no deadline set.
-func setupUDP(tr Transport, cr *cellReader, dialData Dialer) (net.Conn, error) {
+func setupUDP(w io.Writer, cr *cellReader, dialData Dialer) (net.Conn, error) {
 	tok, err := newUDPToken()
 	if err != nil {
 		return nil, err
@@ -42,7 +43,7 @@ func setupUDP(tr Transport, cr *cellReader, dialData Dialer) (net.Conn, error) {
 	var cb [cell.Size]byte
 	cell.PutHeader(cb[:], 0, cell.MsmtUdp)
 	copy(cell.PayloadOf(cb[:])[:16], tok[:])
-	if _, err := tr.Write(cb[:]); err != nil {
+	if _, err := w.Write(cb[:]); err != nil {
 		return nil, fmt.Errorf("send udp bind: %w", err)
 	}
 	ack, err := cr.next()
@@ -85,75 +86,6 @@ func setupUDP(tr Transport, cr *cellReader, dialData Dialer) (net.Conn, error) {
 	}
 	_ = data.SetReadDeadline(time.Time{})
 	return data, nil
-}
-
-// udpTransport adapts the data socket to the writer's Transport seam by
-// coalescing batch writes into maximum-size datagrams: the shards keep
-// producing 32-cell batches, and every udpDatagramCells cells staged
-// becomes one sendto. The slot's ragged tail stays staged until Flush.
-type udpTransport struct {
-	data  net.Conn
-	arena *[]byte
-	stage []byte
-	fill  int
-}
-
-func newUDPTransport(data net.Conn) *udpTransport {
-	arena := cell.GetSuper()
-	return &udpTransport{data: data, arena: arena, stage: (*arena)[:udpDatagramBytes]}
-}
-
-// release returns the staging arena to the pool. Call exactly once, after
-// the last write.
-func (u *udpTransport) release() { cell.PutSuper(u.arena) }
-
-func (u *udpTransport) Read(p []byte) (int, error) { return u.data.Read(p) }
-
-func (u *udpTransport) Write(p []byte) (int, error) {
-	if err := u.stageBytes(p); err != nil {
-		return 0, err
-	}
-	if err := u.Flush(); err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}
-
-func (u *udpTransport) WriteBatches(bufs *net.Buffers) error {
-	for _, b := range *bufs {
-		if err := u.stageBytes(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (u *udpTransport) stageBytes(p []byte) error {
-	for len(p) > 0 {
-		n := copy(u.stage[u.fill:], p)
-		u.fill += n
-		p = p[n:]
-		if u.fill == len(u.stage) {
-			if err := u.Flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Flush sends the staged cells as one datagram (writes are whole cells, so
-// a partial stage is still cell-aligned).
-func (u *udpTransport) Flush() error {
-	if u.fill == 0 {
-		return nil
-	}
-	n := u.fill
-	u.fill = 0
-	if _, err := u.data.Write(u.stage[:n]); err != nil {
-		return fmt.Errorf("send datagram: %w", err)
-	}
-	return nil
 }
 
 // waitUDPDrain blocks until every sent cell's echo arrived, echo progress

@@ -17,7 +17,6 @@ import (
 // never produce on its own.
 type muxClient struct {
 	conn net.Conn
-	tr   Transport
 	cr   *cellReader
 	ks   []*cell.Keystream
 }
@@ -32,13 +31,12 @@ func dialMuxClient(t *testing.T, addr string, id Identity, nCirc int) *muxClient
 	if err := clientAuthenticate(conn, id); err != nil {
 		t.Fatalf("authenticate: %v", err)
 	}
-	tr := NewConnTransport(conn)
-	cr := newCellReader(tr, make([]byte, cell.SuperBytes))
-	ks, err := createCircuits(tr, cr, nCirc)
+	cr := newCellReader(conn, make([]byte, cell.SuperBytes))
+	ks, err := createCircuits(conn, cr, nCirc)
 	if err != nil {
 		t.Fatalf("create circuits: %v", err)
 	}
-	return &muxClient{conn: conn, tr: tr, cr: cr, ks: ks}
+	return &muxClient{conn: conn, cr: cr, ks: ks}
 }
 
 // dataBatch builds one wire batch of zero-payload MsmtData cells on the
@@ -69,14 +67,6 @@ func endCell(id uint32) []byte {
 // ID-space neighbours must not disturb surviving circuits' sequencing.
 func TestMuxInterleavedReassembly(t *testing.T) {
 	runMuxReassembly(t, TargetConfig{})
-}
-
-// TestMuxInterleavedReassemblyParallel forces the multi-worker decrypt
-// pipeline (even on a single-core host) and re-checks the identical
-// invariant: worker pinning plus the ordered writer must make the parallel
-// path byte-indistinguishable from the inline one.
-func TestMuxInterleavedReassemblyParallel(t *testing.T) {
-	runMuxReassembly(t, TargetConfig{DecryptWorkers: 4})
 }
 
 func runMuxReassembly(t *testing.T, cfg TargetConfig) {
@@ -133,7 +123,7 @@ func runMuxReassembly(t *testing.T, cfg TargetConfig) {
 	}()
 
 	// Sender: randomized batch sizes, randomized circuit pattern per batch,
-	// alternating single writes and multi-batch vectored writes. Circuits 1
+	// alternating single-batch writes and writes of several batches. Circuits 1
 	// and 2 are torn down after round 20, with their MsmtEnd cells embedded
 	// in a batch that also carries live circuits' data.
 	live := []uint32{1, 2, 3, 4, 5, 6}
@@ -154,33 +144,32 @@ func runMuxReassembly(t *testing.T, cfg TargetConfig) {
 			mixed = append(mixed, dataBatch(pick(3))...)
 			mixed = append(mixed, endCell(2)...)
 			live = []uint32{3, 4, 5, 6}
-			if _, err := c.tr.Write(mixed); err != nil {
+			if _, err := c.conn.Write(mixed); err != nil {
 				t.Fatalf("send teardown batch: %v", err)
 			}
 			continue
 		}
 		switch rng.Intn(3) {
 		case 0: // single partial batch
-			if _, err := c.tr.Write(dataBatch(pick(1 + rng.Intn(cell.BatchCells)))); err != nil {
+			if _, err := c.conn.Write(dataBatch(pick(1 + rng.Intn(cell.BatchCells)))); err != nil {
 				t.Fatalf("send: %v", err)
 			}
 		case 1: // one full batch
-			if _, err := c.tr.Write(dataBatch(pick(cell.BatchCells))); err != nil {
+			if _, err := c.conn.Write(dataBatch(pick(cell.BatchCells))); err != nil {
 				t.Fatalf("send: %v", err)
 			}
-		default: // scatter-gather: several batches in one vectored write
-			bufs := net.Buffers{
-				dataBatch(pick(1 + rng.Intn(cell.BatchCells))),
-				dataBatch(pick(1 + rng.Intn(cell.BatchCells))),
-				dataBatch(pick(1 + rng.Intn(cell.BatchCells))),
+		default: // several batches in one write
+			var b []byte
+			for i := 0; i < 3; i++ {
+				b = append(b, dataBatch(pick(1+rng.Intn(cell.BatchCells)))...)
 			}
-			if err := c.tr.WriteBatches(&bufs); err != nil {
-				t.Fatalf("send vectored: %v", err)
+			if _, err := c.conn.Write(b); err != nil {
+				t.Fatalf("send: %v", err)
 			}
 		}
 	}
 	for _, id := range live {
-		if _, err := c.tr.Write(endCell(id)); err != nil {
+		if _, err := c.conn.Write(endCell(id)); err != nil {
 			t.Fatalf("send end: %v", err)
 		}
 	}
@@ -223,16 +212,16 @@ func TestMuxDataAfterTeardown(t *testing.T) {
 	}()
 
 	c := dialMuxClient(t, l.Addr().String(), id, 2)
-	if _, err := c.tr.Write(dataBatch([]uint32{1, 2, 1})); err != nil {
+	if _, err := c.conn.Write(dataBatch([]uint32{1, 2, 1})); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	if _, err := c.tr.Write(endCell(1)); err != nil {
+	if _, err := c.conn.Write(endCell(1)); err != nil {
 		t.Fatalf("send end: %v", err)
 	}
 	// Give the target a chance to process the teardown in its own batch,
 	// then violate the protocol.
 	time.Sleep(50 * time.Millisecond)
-	if _, err := c.tr.Write(dataBatch([]uint32{1})); err != nil {
+	if _, err := c.conn.Write(dataBatch([]uint32{1})); err != nil {
 		t.Fatalf("send after end: %v", err)
 	}
 	select {
@@ -274,7 +263,7 @@ func TestMuxDuplicateCircuitRejected(t *testing.T) {
 	c := dialMuxClient(t, l.Addr().String(), id, 1)
 	dup := make([]byte, cell.Size)
 	cell.PutHeader(dup, 1, cell.MsmtCreate)
-	if _, err := c.tr.Write(dup); err != nil {
+	if _, err := c.conn.Write(dup); err != nil {
 		t.Fatalf("send duplicate create: %v", err)
 	}
 	select {
@@ -287,20 +276,13 @@ func TestMuxDuplicateCircuitRejected(t *testing.T) {
 	}
 }
 
-// TestMeasureMuxRace runs the real multiplexed data plane — sharded
-// senders, the paced vectored writer, and the demux reader all hammering
-// one connection's shared state — long enough for the race detector to see
+// TestMeasureMuxRace runs the real multiplexed data plane — the paced
+// send loop and the demux reader sharing the flow window, against the
+// target's serve loop — long enough for the race detector to see
 // every pairing. Deliberately NOT skipped under -short: the CI race job
 // runs with -short, and this is precisely the test it exists for.
 func TestMeasureMuxRace(t *testing.T) {
 	runMeasureMuxRace(t, TargetConfig{})
-}
-
-// TestMeasureMuxRaceParallel is the same race workout with the target's
-// parallel decrypt pipeline forced on: reader dispatch, pinned workers,
-// the ordered writer, and the arena ring all under the race detector.
-func TestMeasureMuxRaceParallel(t *testing.T) {
-	runMeasureMuxRace(t, TargetConfig{DecryptWorkers: 4})
 }
 
 func runMeasureMuxRace(t *testing.T, cfg TargetConfig) {

@@ -87,18 +87,18 @@ func (p *pacer) quantumBits() float64 {
 	return p.rateBps * pacerMaxSleep.Seconds()
 }
 
-// batchCells is how many cells a sender shard takes per batch: a full
-// cell.BatchCells, capped at one pacing quantum's worth (at least one
-// cell). At a sliver allocation — tens of kbit/s — a full batch is over
-// 130 kbit, and pacing it would park the writer for seconds in one wait,
-// past the slot's end. From about 6.6 Mbit/s up a quantum holds a whole
-// batch and the cap never binds.
-func (p *pacer) batchCells() int64 {
-	n := int64(cell.BatchCells)
-	if q := p.quantumBits() / (cell.Size * 8); q < float64(n) {
-		n = max(1, int64(q))
+// batchCells is how many cells one send-loop write carries: limit
+// (cell.SuperCells on TCP, udpDatagramCells — one datagram — on UDP),
+// capped at one pacing quantum of quantumBits and at least one cell. At a
+// sliver allocation — tens of kbit/s — a full write is over a megabit, and
+// pacing it would park the sender for seconds in one wait, past the slot's
+// end. Unpaced, the quantum is +Inf, so the comparison stays in float and
+// only a finite, smaller quantum is converted.
+func batchCells(quantumBits float64, limit int) int {
+	if q := quantumBits / (cell.Size * 8); q < float64(limit) {
+		return max(1, int(q))
 	}
-	return n
+	return limit
 }
 
 func (p *pacer) clockNow() time.Time {

@@ -170,27 +170,39 @@ func TestPacerQuantumBits(t *testing.T) {
 	}
 }
 
-// TestPacerBatchCellsSliverAllocation pins the shard batch cap: a full
-// batch at measurement rates, and at a ~50 kbit/s sliver one cell, so
-// that no single wait sleeps longer than max(pacerMaxSleep, one cell
-// time) — a full 32-cell batch there would sleep over 2.6 s.
+// TestPacerBatchCellsSliverAllocation pins the send loop's cells per
+// write: the plane's limit when unpaced or fast, a quantum's worth in
+// between, and at a ~50 kbit/s sliver one cell, so that no single wait
+// sleeps longer than max(pacerMaxSleep, one cell time) — a full 256-cell
+// write there would sleep over 20 s. The sender takes window credit for a
+// whole write at once, so the smallest window a measurement can have must
+// hold the largest write, or the send loop waits forever.
 func TestPacerBatchCellsSliverAllocation(t *testing.T) {
 	const cellBits = cell.Size * 8
 	for _, tc := range []struct {
-		rate float64
-		want int64
+		rate  float64
+		limit int
+		want  int
 	}{
-		{0, cell.BatchCells},
-		{31e6, cell.BatchCells},
-		{1e9, cell.BatchCells},
-		{1e6, 4},
-		{50e3, 1},
-		{1e3, 1},
+		{0, cell.SuperCells, cell.SuperCells},
+		{0, udpDatagramCells, udpDatagramCells},
+		{1e9, cell.SuperCells, cell.SuperCells},
+		{1e9, udpDatagramCells, udpDatagramCells},
+		{31e6, cell.SuperCells, 150},
+		{31e6, udpDatagramCells, udpDatagramCells},
+		{1e6, cell.SuperCells, 4},
+		{1e6, udpDatagramCells, 4},
+		{50e3, cell.SuperCells, 1},
+		{50e3, udpDatagramCells, 1},
+		{1e3, cell.SuperCells, 1},
 	} {
 		p, fc := newFakePacer(tc.rate)
-		n := p.batchCells()
+		n := batchCells(p.quantumBits(), tc.limit)
 		if n != tc.want {
-			t.Fatalf("rate %.0f: batchCells %d, want %d", tc.rate, n, tc.want)
+			t.Fatalf("rate %.0f limit %d: batchCells %d, want %d", tc.rate, tc.limit, n, tc.want)
+		}
+		if minWindow := min(int64(inflightWindow), maxWindowCells); minWindow < int64(n) {
+			t.Fatalf("rate %.0f limit %d: a one-circuit window (%d cells) cannot hold one %d-cell write", tc.rate, tc.limit, minWindow, n)
 		}
 		if tc.rate == 0 {
 			continue

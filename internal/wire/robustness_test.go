@@ -99,9 +99,8 @@ func TestTargetHandlesAbruptDisconnect(t *testing.T) {
 	if err := clientAuthenticate(conn, id); err != nil {
 		t.Fatal(err)
 	}
-	tr := NewConnTransport(conn)
-	cr := newCellReader(tr, make([]byte, cell.BatchBytes))
-	if _, err := createCircuits(tr, cr, 1); err != nil {
+	cr := newCellReader(conn, make([]byte, cell.BatchBytes))
+	if _, err := createCircuits(conn, cr, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]byte, cell.Size)

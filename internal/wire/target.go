@@ -10,7 +10,6 @@ import (
 	"io"
 	"net"
 	"net/netip"
-	"runtime"
 	"sync"
 	"time"
 
@@ -29,35 +28,6 @@ type TargetConfig struct {
 	// must catch (§5): the echoed bytes are not the forward keystream a
 	// real decrypt would have produced.
 	Corrupt bool
-	// DecryptWorkers sets how many decrypt workers each connection shards
-	// its circuits across. 0 picks automatically (GOMAXPROCS, capped);
-	// 1 forces the single-threaded inline path. Circuits are pinned to
-	// workers by ID, so per-circuit keystream state stays single-owner and
-	// echo bytes stay in order per circuit regardless of the worker count.
-	DecryptWorkers int
-}
-
-// maxDecryptWorkers caps the automatic per-connection worker count: past
-// the crypto-to-I/O ratio's break-even, more workers only add dispatch
-// latency for the reader stage.
-const maxDecryptWorkers = 8
-
-// decryptWorkers resolves the configured worker count.
-func (t *Target) decryptWorkers() int {
-	n := t.cfg.DecryptWorkers
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n > maxDecryptWorkers {
-			n = maxDecryptWorkers
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > 64 {
-		n = 64 // the pipeline dispatches with a 64-bit worker mask
-	}
-	return n
 }
 
 // Target is the relay-side endpoint: it accepts authenticated measurement
@@ -135,10 +105,11 @@ func (t *Target) Serve(l net.Listener) {
 
 // Close force-closes every open connection — handlers may otherwise
 // block forever reading a connection a measurement coordinator keeps
-// parked in its pool — and waits for the handlers to exit (listeners must
-// be closed by the caller first). The closed flag and the connection set
-// share one critical section with HandleConn's registration, so no
-// handler can slip a connection in after Close has swept the set.
+// parked in its pool — and waits for the handlers and ServeUDP loops to
+// exit (listeners and UDP sockets must be closed by the caller first). The
+// closed flag and the connection set share one critical section with
+// HandleConn's and ServeUDP's registration, so nothing can join after
+// Close has swept the set.
 func (t *Target) Close() {
 	t.mu.Lock()
 	t.closed = true
@@ -212,8 +183,8 @@ const maxConnCircuits = 1024
 // errTooManyCircuits reports a connection exceeding maxConnCircuits.
 var errTooManyCircuits = errors.New("wire: too many circuits on one connection")
 
-// circTable maps live circuit IDs to their demux entries (crypto state,
-// worker pinning, span marks). The measurer allocates IDs densely from 1,
+// circTable maps live circuit IDs to their demux entries (crypto state
+// and span marks). The measurer allocates IDs densely from 1,
 // so the fast path is an array index; sparse IDs fall back to a map.
 // Lookup cost matters: the demux loop consults it once per data cell.
 type circTable struct {
@@ -291,16 +262,16 @@ func (t *Target) echoChunkBytes(bufLen int) int {
 // chunks of at most one quantum, and credits the per-second forwarded-byte
 // counter. Control-only batches (circuit setup, teardown) are never paced:
 // creation must answer promptly even on a slow target.
-func (t *Target) echoBatch(tr Transport, batch []byte, dataCells, chunkBytes int) error {
+func (t *Target) echoBatch(w io.Writer, batch []byte, dataCells, chunkBytes int) error {
 	if dataCells == 0 || t.pace.rateBps <= 0 {
-		if _, err := tr.Write(batch); err != nil {
+		if _, err := w.Write(batch); err != nil {
 			return fmt.Errorf("target echo: %w", err)
 		}
 	} else {
 		for off := 0; off < len(batch); off += chunkBytes {
 			end := min(off+chunkBytes, len(batch))
 			t.pace.wait(float64((end - off) * 8))
-			if _, err := tr.Write(batch[off:end]); err != nil {
+			if _, err := w.Write(batch[off:end]); err != nil {
 				return fmt.Errorf("target echo: %w", err)
 			}
 		}
@@ -311,18 +282,15 @@ func (t *Target) echoBatch(tr Transport, batch []byte, dataCells, chunkBytes int
 	return nil
 }
 
-// serveMux is the relay's hot path: it serves every circuit of one
-// connection, allocation-free in steady state. The stream is processed in
-// three stages — refill (one large Read for up to SuperCells cells into a
-// pooled super arena), demux (route each cell by circuit ID, grouping data
-// cells into per-circuit spans and handling control cells inline), and
-// decrypt (one fat ApplySpans cipher call per span — §4.1's requirement
-// that the relay do its real per-cell crypto work) — then the whole batch
-// is echoed with paced writes.
-//
-// With one decrypt worker all three stages run inline on this goroutine;
-// with more, serveMuxParallel runs refill+demux as a reader stage feeding
-// per-circuit-pinned decrypt workers and a single paced writer.
+// serveMux is the relay's hot path: one loop on the connection's own
+// goroutine serves every circuit of the connection, allocation-free in
+// steady state. Each pass is refill (one large Read for up to SuperCells
+// cells into a pooled super arena), demux (route each cell by circuit ID,
+// grouping data cells into per-circuit spans and handling control cells
+// inline), and decrypt (one fat ApplySpans cipher call per span — §4.1's
+// requirement that the relay do its real per-cell crypto work); then the
+// whole batch is echoed with paced writes. A circuit's sequential CTR state
+// thus has one owner and the echo leaves in stream order.
 //
 // Control cells ride the same stream: MsmtCreate is answered by rewriting
 // the cell in place into MsmtCreated (the X25519 answer key replaces the
@@ -333,16 +301,11 @@ func (t *Target) echoBatch(tr Transport, batch []byte, dataCells, chunkBytes int
 // cut off a measurer even on a connection it already holds open (the
 // pooled-connection case).
 func (t *Target) serveMux(conn net.Conn, pub ed25519.PublicKey) error {
-	tr := NewConnTransport(conn)
-	ms := &muxState{t: t, pub: pub, nWorkers: int32(t.decryptWorkers())}
+	ms := &muxState{t: t, pub: pub}
 	defer t.unbindUDP(ms)
-	if ms.nWorkers > 1 {
-		return t.serveMuxParallel(conn, tr, ms)
-	}
-
 	buf := cell.GetSuper()
 	defer cell.PutSuper(buf)
-	cr := newCellReader(tr, *buf)
+	cr := newCellReader(conn, *buf)
 	var spans spanSet
 	scratch := cell.NewSpanScratch()
 	chunkBytes := t.echoChunkBytes(len(*buf))
@@ -364,7 +327,7 @@ func (t *Target) serveMux(conn net.Conn, pub ed25519.PublicKey) error {
 				sp.st.ApplySpans(batch, sp.offs, scratch)
 			}
 		}
-		if err := t.echoBatch(tr, batch, dataCells, chunkBytes); err != nil {
+		if err := t.echoBatch(conn, batch, dataCells, chunkBytes); err != nil {
 			return err
 		}
 	}

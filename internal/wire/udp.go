@@ -189,9 +189,18 @@ func (t *Target) unbindUDP(ms *muxState) {
 // loop's scratch, stamped, paced, and echoed to the source address.
 // Datagrams that match no session or no circuit are dropped per the loss
 // semantics above. Run one ServeUDP loop per listener; a target typically
-// has one.
+// has one. Close waits for the loop, so close pc first; a ServeUDP called
+// after Close returns at once.
 func (t *Target) ServeUDP(pc DatagramConn) {
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return
+	}
+	// Join under the closed check's lock, as HandleConn does, so this Add
+	// can never race Close's Wait.
 	t.wg.Add(1)
+	t.mu.Unlock()
 	defer t.wg.Done()
 	arena := cell.GetSuper()
 	defer cell.PutSuper(arena)

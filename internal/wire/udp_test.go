@@ -33,8 +33,8 @@ func sumBytes(b []float64) float64 {
 
 // TestMeasurePipeTCP runs the full TCP-plane measurement sockets-free: the
 // control and data stream share one net.Pipe. Pins that the data plane has
-// no hidden dependency on kernel socket behavior (vectored writes, socket
-// buffering) beyond the Transport seam.
+// no hidden dependency on kernel socket behavior (socket buffering) beyond
+// the net.Conn it is handed.
 func TestMeasurePipeTCP(t *testing.T) {
 	id, err := NewIdentity()
 	if err != nil {
@@ -248,13 +248,13 @@ func TestUDPDataAfterBindRejected(t *testing.T) {
 	bind := make([]byte, cell.Size)
 	cell.PutHeader(bind, 0, cell.MsmtUdp)
 	copy(cell.PayloadOf(bind)[:16], []byte("0123456789abcdef"))
-	if _, err := c.tr.Write(bind); err != nil {
+	if _, err := c.conn.Write(bind); err != nil {
 		t.Fatalf("send bind: %v", err)
 	}
 	if cb, err := c.cr.next(); err != nil || cell.CommandOf(cb) != cell.MsmtUdp {
 		t.Fatalf("bind ack: cell %v, err %v", cell.CommandOf(cb), err)
 	}
-	if _, err := c.tr.Write(dataBatch([]uint32{1})); err != nil {
+	if _, err := c.conn.Write(dataBatch([]uint32{1})); err != nil {
 		t.Fatalf("send data: %v", err)
 	}
 	select {
@@ -265,4 +265,49 @@ func TestUDPDataAfterBindRejected(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("target accepted TCP data after UDP bind")
 	}
+}
+
+// TestServeUDPConcurrentClose starts ServeUDP concurrently with Close and
+// checks that both return once the socket is closed, then that a ServeUDP
+// started after Close returns at once although its socket stays open.
+// Under -race it also checks that ServeUDP joins the target's wait group
+// without racing Close's Wait.
+func TestServeUDPConcurrentClose(t *testing.T) {
+	waitDone := func(done <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return", what)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		tgt := NewTarget(TargetConfig{})
+		cli, srv := newDgramPipe()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			tgt.ServeUDP(srv)
+		}()
+		closed := make(chan struct{})
+		go func() {
+			defer close(closed)
+			tgt.Close()
+		}()
+		srv.Close() // Close waits for ServeUDP, so the socket closes first
+		waitDone(closed, "Close")
+		waitDone(served, "ServeUDP")
+		cli.Close()
+	}
+
+	tgt := NewTarget(TargetConfig{})
+	tgt.Close()
+	cli, srv := newDgramPipe()
+	defer cli.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		tgt.ServeUDP(srv)
+	}()
+	waitDone(served, "ServeUDP after Close")
 }

@@ -89,6 +89,7 @@ func BenchmarkAggregate30s4Measurers(b *testing.B) {
 			data.MeasBytes[i][j] = float64(i*31 + j)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Aggregate(data, 0.25); err != nil {
@@ -105,6 +106,7 @@ func BenchmarkAllocateGreedy(b *testing.B) {
 		{Name: "d", CapacityBps: 1611e6, Cores: 2},
 	}
 	p := core.DefaultParams()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.AllocateGreedy(team, 2e9, p); err != nil {

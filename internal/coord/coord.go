@@ -303,12 +303,19 @@ type Coordinator struct {
 	ckptRound     int
 	recBuf        []store.Record
 
+	// inFlight counts this coordinator's executing measurements; the
+	// coord_in_flight cell counts them too, so the gauge stays exact
+	// without a lock on the slot path.
+	inFlight atomic.Int64
+	// Per-slot counter cells, resolved once by registerCounters.
+	ctrAttempted, ctrInFlight, ctrConclusive *atomic.Int64
+	ctrSecondsUsed, ctrSecondsSaved          *atomic.Int64
+
 	mu       sync.Mutex
 	round    int
-	inFlight int
 	priors   map[string]float64
 	last     *RoundReport
-	progress map[string]*liveSlot
+	progress map[progressKey]*liveSlot
 	// anomalies is the coordinator's own windowed copy of per-relay §5
 	// defense counters: unlike the BWAuths' tables (dropped with the
 	// retain set), entries survive population churn for
@@ -359,7 +366,7 @@ func New(cfg Config, auths []*core.BWAuth, source RelaySource) (*Coordinator, er
 		limiter:   NewRelayLimiter(cfg.RelayAttemptsPerSec, cfg.RelayBurst),
 		builder:   core.NewScheduleBuilder(),
 		priors:    make(map[string]float64),
-		progress:  make(map[string]*liveSlot),
+		progress:  make(map[progressKey]*liveSlot),
 		anomalies: make(map[string]*relayAnomaly),
 	}
 	for _, a := range auths {
@@ -441,6 +448,7 @@ func (c *Coordinator) recover() error {
 // defense fires — so dashboards and alert rules never reference a series
 // that does not exist yet.
 func (c *Coordinator) registerCounters() {
+	ctr := c.cfg.Counters
 	for _, name := range []string{
 		"coord_rounds_completed",
 		"coord_round",
@@ -475,8 +483,13 @@ func (c *Coordinator) registerCounters() {
 		"coord_store_recovered_priors",
 		"coord_store_recovered_anomalies",
 	} {
-		c.cfg.Counters.Add(name, 0)
+		ctr.Add(name, 0)
 	}
+	c.ctrAttempted = ctr.Counter("coord_slots_attempted")
+	c.ctrInFlight = ctr.Counter("coord_in_flight")
+	c.ctrConclusive = ctr.Counter("coord_slots_conclusive")
+	c.ctrSecondsUsed = ctr.Counter("coord_slot_seconds_used")
+	c.ctrSecondsSaved = ctr.Counter("coord_slot_seconds_saved")
 }
 
 // progressTee wraps a core.Backend so every slot's stream of per-second
@@ -489,8 +502,11 @@ type progressTee struct {
 	auth  string
 }
 
+// progressKey names one BWAuth's slot on one relay in the progress table.
+type progressKey struct{ auth, relay string }
+
 func (t *progressTee) RunMeasurement(ctx context.Context, target string, alloc core.Allocation, seconds int, sink core.SampleSink) (core.MeasurementData, error) {
-	key := t.auth + "/" + target
+	key := progressKey{auth: t.auth, relay: target}
 	p := &liveSlot{fixed: SlotProgress{
 		Relay:        target,
 		BWAuth:       t.auth,
@@ -551,7 +567,7 @@ func (c *Coordinator) Status() Status {
 	defer c.mu.Unlock()
 	s := Status{
 		Round:    c.round,
-		InFlight: c.inFlight,
+		InFlight: int(c.inFlight.Load()),
 		Counters: c.cfg.Counters.Snapshot(),
 	}
 	for _, p := range c.progress {
@@ -1024,6 +1040,9 @@ func (c *Coordinator) runRound(ctx context.Context, round int) RoundReport {
 	}
 
 	rep.Estimates = medians
+	if cap(c.recBuf) < len(medians) {
+		c.recBuf = make([]store.Record, 0, len(medians)+len(medians)/8)
+	}
 	recs := c.recBuf[:0]
 	c.mu.Lock()
 	for relay, m := range medians {
@@ -1139,11 +1158,9 @@ func (c *Coordinator) runJob(ctx context.Context, j *slotJob, queue chan<- *slot
 		return
 	}
 
-	ctr.Inc("coord_slots_attempted")
-	c.mu.Lock()
-	c.inFlight++
-	ctr.Set("coord_in_flight", int64(c.inFlight))
-	c.mu.Unlock()
+	c.ctrAttempted.Add(1)
+	c.inFlight.Add(1)
+	c.ctrInFlight.Add(1)
 	// Per-slot context: shutdown cancels the in-flight measurement (the
 	// backend tears the slot down within about a second of data instead of
 	// waiting out the full slot), and the optional slot timeout bounds a
@@ -1155,10 +1172,8 @@ func (c *Coordinator) runJob(ctx context.Context, j *slotJob, queue chan<- *slot
 	}
 	out, err := c.auths[j.auth].MeasureTarget(slotCtx, j.relay)
 	cancelSlot()
-	c.mu.Lock()
-	c.inFlight--
-	ctr.Set("coord_in_flight", int64(c.inFlight))
-	c.mu.Unlock()
+	c.inFlight.Add(-1)
+	c.ctrInFlight.Add(-1)
 	j.attempt++
 
 	// Slot-second accounting for the §4.2 early abort: used is what the
@@ -1167,9 +1182,9 @@ func (c *Coordinator) runJob(ctx context.Context, j *slotJob, queue chan<- *slot
 	// as a counter so /metrics shows it accumulating live).
 	if used := out.SlotSecondsUsed(); used > 0 || len(out.Attempts) > 0 {
 		scheduled := len(out.Attempts) * c.auths[j.auth].Params.SlotSeconds
-		ctr.Add("coord_slot_seconds_used", int64(used))
+		c.ctrSecondsUsed.Add(int64(used))
 		if saved := scheduled - used; saved > 0 {
-			ctr.Add("coord_slot_seconds_saved", int64(saved))
+			c.ctrSecondsSaved.Add(int64(saved))
 		}
 	}
 
@@ -1221,11 +1236,11 @@ func (c *Coordinator) runJob(ctx context.Context, j *slotJob, queue chan<- *slot
 	}
 	j.outcome, j.hasOutcome = out, true
 	if out.Conclusive {
-		ctr.Inc("coord_slots_conclusive")
+		c.ctrConclusive.Add(1)
 		col.mu.Lock()
 		col.conclusive++
+		col.perRelay[j.relay] = append(col.perRelay[j.relay], out.EstimateBps)
 		col.mu.Unlock()
-		col.addEstimate(j.relay, out.EstimateBps)
 		pending.Done()
 		return
 	}

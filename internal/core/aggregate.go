@@ -97,27 +97,68 @@ var (
 // the BWAuth never credits normal traffic beyond the r-ratio share implied
 // by the measurement traffic it verified directly.
 func Aggregate(data MeasurementData, ratio float64) (AggregateResult, error) {
+	seconds, err := checkData(data)
+	if err != nil {
+		return AggregateResult{}, err
+	}
+	series := make([]float64, 3*seconds)
+	meas := series[:seconds:seconds]
+	norm := series[seconds : 2*seconds : 2*seconds]
+	totals := series[2*seconds:]
+	res := aggregate(data, ratio, meas, norm, totals)
+	res.PerSecondMeas, res.PerSecondNorm, res.PerSecondTotals = meas, norm, totals
+	return res, nil
+}
+
+// aggregateEstimate is Aggregate without the per-second series: the
+// measurement loop needs only the estimate and its anomaly evidence, and
+// for a slot of up to maxStackSeconds it aggregates in stack scratch.
+func aggregateEstimate(data MeasurementData, ratio float64) (AggregateResult, error) {
+	seconds, err := checkData(data)
+	if err != nil {
+		return AggregateResult{}, err
+	}
+	if seconds > maxStackSeconds {
+		scratch := make([]float64, 2*seconds)
+		return aggregate(data, ratio, scratch[:seconds], nil, scratch[seconds:]), nil
+	}
+	var meas, totals [maxStackSeconds]float64
+	return aggregate(data, ratio, meas[:seconds], nil, totals[:seconds]), nil
+}
+
+// maxStackSeconds is the longest slot aggregateEstimate aggregates
+// without allocating; the default slot is 30 s.
+const maxStackSeconds = 64
+
+// checkData returns the slot's length in seconds, or why it cannot be
+// aggregated.
+func checkData(data MeasurementData) (int, error) {
 	if data.Failed {
-		return AggregateResult{}, ErrMeasurementFailed
+		return 0, ErrMeasurementFailed
 	}
 	if len(data.MeasBytes) == 0 || len(data.MeasBytes[0]) == 0 {
-		return AggregateResult{}, ErrNoData
+		return 0, ErrNoData
 	}
 	seconds := len(data.MeasBytes[0])
 	for _, series := range data.MeasBytes {
 		if len(series) != seconds {
-			return AggregateResult{}, ErrRaggedData
+			return 0, ErrRaggedData
 		}
 	}
 	if len(data.NormBytes) != 0 && len(data.NormBytes) != seconds {
-		return AggregateResult{}, ErrRaggedData
+		return 0, ErrRaggedData
 	}
+	return seconds, nil
+}
 
-	res := AggregateResult{
-		PerSecondTotals: make([]float64, seconds),
-		PerSecondMeas:   make([]float64, seconds),
-		PerSecondNorm:   make([]float64, seconds),
-	}
+// aggregate is the §4.1 math over checked data in one pass. It fills
+// meas and totals (and norm, when non-nil) with len(meas) == the slot's
+// seconds, and returns the result without its series.
+func aggregate(data MeasurementData, ratio float64, meas, norm, totals []float64) AggregateResult {
+	var res AggregateResult
+	seconds := len(meas)
+	hasNorm := len(data.NormBytes) == seconds
+	anyNorm := false
 	clampFactor := ratio / (1 - ratio)
 	for j := 0; j < seconds; j++ {
 		var x float64
@@ -125,7 +166,7 @@ func Aggregate(data MeasurementData, ratio float64) (AggregateResult, error) {
 			x += data.MeasBytes[i][j]
 		}
 		var y float64
-		if len(data.NormBytes) == seconds {
+		if hasNorm {
 			y = data.NormBytes[j]
 		}
 		limit := x * clampFactor
@@ -133,12 +174,23 @@ func Aggregate(data MeasurementData, ratio float64) (AggregateResult, error) {
 			y = limit
 			res.ClampedSeconds++
 		}
-		res.PerSecondMeas[j] = x
-		res.PerSecondNorm[j] = y
-		res.PerSecondTotals[j] = x + y
+		if y != 0 {
+			anyNorm = true
+		}
+		meas[j] = x
+		if norm != nil {
+			norm[j] = y
+		}
+		totals[j] = x + y
 	}
-	res.EstimateBytesPerSec = stats.Median(res.PerSecondTotals)
-	res.MeasOnlyMedian = stats.Median(res.PerSecondMeas)
+	res.EstimateBytesPerSec = stats.Median(totals)
+	if anyNorm {
+		res.MeasOnlyMedian = stats.Median(meas)
+	} else {
+		// Every y_j is zero, so z_j = x_j + 0 = x_j bit for bit and the
+		// two series share their median.
+		res.MeasOnlyMedian = res.EstimateBytesPerSec
+	}
 	// Estimate-level enforcement of the §5 inflation invariant: no matter
 	// how the per-second series were produced, the published estimate
 	// never exceeds 1/(1−r) times the measurement traffic the measurers
@@ -148,7 +200,7 @@ func Aggregate(data MeasurementData, ratio float64) (AggregateResult, error) {
 		res.EstimateBytesPerSec = bound
 		res.RatioClamped = true
 	}
-	return res, nil
+	return res
 }
 
 // RatioClampBound returns the §5 ceiling on a capacity estimate given the

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Measurer describes one measurement host in a team: its name, its
@@ -69,38 +68,47 @@ func AllocateGreedyFrom(team []*Measurer, needBps float64, prefer int, p Params)
 	if needBps <= 0 {
 		return Allocation{}, fmt.Errorf("core: nonpositive capacity request %v", needBps)
 	}
+	// Per-measurer scratch lives on the stack for teams up to smallTeam,
+	// keeping the per-attempt path allocation-free.
+	var orderBuf [smallTeam]int
+	var residualBuf [smallTeam]float64
+	order, residual := orderBuf[:0], residualBuf[:0]
+	if len(team) > smallTeam {
+		order, residual = make([]int, 0, len(team)), make([]float64, 0, len(team))
+	}
 	var residualTotal float64
 	for _, m := range team {
-		residualTotal += m.ResidualBps()
+		r := m.ResidualBps()
+		residual = append(residual, r)
+		residualTotal += r
 	}
 	if residualTotal < needBps {
 		return Allocation{}, fmt.Errorf("%w: need %.0f, have %.0f", ErrInsufficientCapacity, needBps, residualTotal)
 	}
 
-	alloc := Allocation{
-		PerMeasurerBps: make([]float64, len(team)),
-		Processes:      make([]int, len(team)),
-		SocketsPer:     make([]int, len(team)),
-	}
+	alloc := newAllocation(len(team))
 	prefer %= len(team)
 	if prefer < 0 {
 		prefer += len(team)
 	}
 	// Order of consideration: most residual capacity first; ties broken
-	// by index rotated to the preferred start, for determinism.
-	order := make([]int, len(team))
-	for i := range order {
-		order[i] = (prefer + i) % len(team)
+	// by index rotated to the preferred start, for determinism. The
+	// stable insertion sort is sort.SliceStable's own algorithm at team
+	// sizes.
+	for i := range team {
+		order = append(order, (prefer+i)%len(team))
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return team[order[a]].ResidualBps() > team[order[b]].ResidualBps()
-	})
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && residual[order[j]] > residual[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
 	remaining := needBps
 	for _, idx := range order {
 		if remaining <= 0 {
 			break
 		}
-		take := team[idx].ResidualBps()
+		take := residual[idx]
 		if take > remaining {
 			take = remaining
 		}
@@ -136,6 +144,21 @@ func AllocateGreedyFrom(team []*Measurer, needBps float64, prefer int, p Params)
 	return alloc, nil
 }
 
+// smallTeam is the largest team whose per-measurer scratch
+// AllocateGreedyFrom and CrossCheck keep on the stack.
+const smallTeam = 16
+
+// newAllocation returns a zero allocation over n measurers, with the
+// process and socket splits carved from one backing array.
+func newAllocation(n int) Allocation {
+	ints := make([]int, 2*n)
+	return Allocation{
+		PerMeasurerBps: make([]float64, n),
+		Processes:      ints[:n:n],
+		SocketsPer:     ints[n:],
+	}
+}
+
 // AllocateEven divides needBps evenly across all team members, as the
 // paper's accuracy experiments do ("we divide that capacity assignment
 // evenly across the measurers in the subset", Appendix E.2). Members whose
@@ -155,11 +178,7 @@ func AllocateEven(team []*Measurer, needBps float64, p Params) (Allocation, erro
 	if residualTotal < needBps {
 		return Allocation{}, fmt.Errorf("%w: need %.0f, have %.0f", ErrInsufficientCapacity, needBps, residualTotal)
 	}
-	alloc := Allocation{
-		PerMeasurerBps: make([]float64, len(team)),
-		Processes:      make([]int, len(team)),
-		SocketsPer:     make([]int, len(team)),
-	}
+	alloc := newAllocation(len(team))
 	share := needBps / float64(len(team))
 	var assigned float64
 	for i, m := range team {

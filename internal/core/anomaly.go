@@ -213,7 +213,12 @@ func CrossCheck(data MeasurementData, alloc Allocation, ratio float64) CrossChec
 
 	if alloc.TotalBps > 0 {
 		var total float64
-		received := make([]float64, len(data.MeasBytes))
+		var receivedBuf [smallTeam]float64
+		received := receivedBuf[:]
+		if len(data.MeasBytes) > smallTeam {
+			received = make([]float64, len(data.MeasBytes))
+		}
+		received = received[:len(data.MeasBytes)]
 		for i := range data.MeasBytes {
 			for j := 0; j < seconds; j++ {
 				received[i] += data.MeasBytes[i][j]

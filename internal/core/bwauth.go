@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,6 +33,13 @@ type BWAuth struct {
 	// estimates holds the latest measured capacity estimate per relay —
 	// the values published in the bandwidth file.
 	estimates map[string]float64
+	// names holds the keys of estimates in ascending order while
+	// namesOK is set. Adding a key clears namesOK and the next view
+	// re-sorts; Retain deletes keys from names in place; updating an
+	// existing key's value leaves the order alone. A view is then a
+	// linear copy in the order a bandwidth file keeps its entries.
+	names   []string
+	namesOK bool
 	// priors holds externally seeded starting points (advertised
 	// bandwidths, a coordinator's population estimates) consulted only
 	// when a relay has never been measured; they are never published.
@@ -54,6 +62,7 @@ func NewBWAuth(name string, team []*Measurer, backend Backend, p Params) *BWAuth
 		Backend:   backend,
 		Params:    p,
 		estimates: make(map[string]float64),
+		namesOK:   true,
 		priors:    make(map[string]float64),
 		anomalies: make(map[string]AnomalyCounts),
 	}
@@ -73,6 +82,14 @@ func (b *BWAuth) Estimate(relayName string) (float64, bool) {
 func (b *BWAuth) SetEstimate(relayName string, bps float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.setEstimateLocked(relayName, bps)
+}
+
+// setEstimateLocked stores an estimate; b.mu must be held.
+func (b *BWAuth) setEstimateLocked(relayName string, bps float64) {
+	if _, ok := b.estimates[relayName]; !ok {
+		b.namesOK = false
+	}
 	b.estimates[relayName] = bps
 }
 
@@ -97,10 +114,15 @@ func (b *BWAuth) SetPrior(relayName string, bps float64) {
 func (b *BWAuth) Retain(keep map[string]bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	dropped := false
 	for name := range b.estimates {
 		if !keep[name] {
 			delete(b.estimates, name)
+			dropped = true
 		}
+	}
+	if dropped && b.namesOK {
+		b.names = slices.DeleteFunc(b.names, func(name string) bool { return !keep[name] })
 	}
 	for name := range b.priors {
 		if !keep[name] {
@@ -170,7 +192,7 @@ func (b *BWAuth) MeasureTarget(ctx context.Context, relayName string) (MeasureOu
 	}
 	if out.EstimateBps > 0 {
 		b.mu.Lock()
-		b.estimates[relayName] = out.EstimateBps
+		b.setEstimateLocked(relayName, out.EstimateBps)
 		b.history = append(b.history, out.EstimateBps)
 		// Keep the history bounded to roughly its "last month" intent: a
 		// long-lived coordinator would otherwise grow it (and slow the
@@ -210,9 +232,18 @@ func (b *BWAuth) MeasureAll(ctx context.Context, relayNames []string) (map[strin
 // capacity value (Table 2: FlashFlow provides capacity values directly).
 func (b *BWAuth) BandwidthFile(at time.Duration) *dirauth.BandwidthFile {
 	b.mu.Lock()
-	entries := make([]dirauth.BandwidthEntry, 0, len(b.estimates))
-	for name, est := range b.estimates {
-		entries = append(entries, dirauth.BandwidthEntry{Name: name, WeightBps: est, CapacityBps: est})
+	if !b.namesOK {
+		b.names = b.names[:0]
+		for name := range b.estimates {
+			b.names = append(b.names, name)
+		}
+		slices.Sort(b.names)
+		b.namesOK = true
+	}
+	entries := make([]dirauth.BandwidthEntry, len(b.names))
+	for i, name := range b.names {
+		est := b.estimates[name]
+		entries[i] = dirauth.BandwidthEntry{Name: name, WeightBps: est, CapacityBps: est}
 	}
 	b.mu.Unlock()
 	return dirauth.NewBandwidthFile(b.Name, at, entries)

@@ -89,11 +89,11 @@ func TestFamilyPair(ctx context.Context, backend Backend, team []*Measurer, rela
 	if err != nil {
 		return v, fmt.Errorf("pair measurement: %w", err)
 	}
-	aggA, err := Aggregate(dataA, p.Ratio)
+	aggA, err := aggregateEstimate(dataA, p.Ratio)
 	if err != nil {
 		return v, err
 	}
-	aggB, err := Aggregate(dataB, p.Ratio)
+	aggB, err := aggregateEstimate(dataB, p.Ratio)
 	if err != nil {
 		return v, err
 	}

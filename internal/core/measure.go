@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -259,7 +258,7 @@ func MeasureRelayGuarded(ctx context.Context, backend Backend, team []*Measurer,
 			continue
 		}
 
-		agg, err := Aggregate(data, p.Ratio)
+		agg, err := aggregateEstimate(data, p.Ratio)
 		if err != nil {
 			return out, fmt.Errorf("aggregate %s: %w", relayName, err)
 		}
@@ -317,11 +316,11 @@ func dataSeconds(data MeasurementData) int {
 // partialEstimate aggregates a possibly truncated slot. It reports ok
 // only when the data contains at least one complete second and passes the
 // echo-verification check — a failed slot must never contribute an
-// estimate. The full AggregateResult is returned so callers can record
-// the attempt's anomaly evidence (clamped seconds, invariant-clamp hits)
-// alongside the salvaged estimate.
+// estimate. The AggregateResult (without its per-second series) is
+// returned so callers can record the attempt's anomaly evidence (clamped
+// seconds, invariant-clamp hits) alongside the salvaged estimate.
 func partialEstimate(data MeasurementData, p Params) (agg AggregateResult, seconds int, ok bool) {
-	agg, err := Aggregate(data, p.Ratio)
+	agg, err := aggregateEstimate(data, p.Ratio)
 	if err != nil {
 		return AggregateResult{}, dataSeconds(data), false
 	}
@@ -335,9 +334,13 @@ func relayPreferredMeasurer(relayName string, teamSize int) int {
 	if teamSize <= 0 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(relayName))
-	return int(h.Sum32() % uint32(teamSize))
+	// FNV-1a, inline so the per-attempt path does not allocate a hash.
+	h := uint32(2166136261)
+	for i := 0; i < len(relayName); i++ {
+		h ^= uint32(relayName[i])
+		h *= 16777619
+	}
+	return int(h % uint32(teamSize))
 }
 
 // NewRelayPrior returns the z0 prior for a relay without a usable estimate:

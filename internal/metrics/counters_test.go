@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -88,5 +89,66 @@ func TestSortedSnapshotOrder(t *testing.T) {
 		if tail[i-1].Name >= tail[i].Name {
 			t.Fatalf("tail not sorted: %q before %q", tail[i-1].Name, tail[i].Name)
 		}
+	}
+}
+
+// TestCountersConcurrentMixed runs every operation at once on names that
+// exist before the run and names the run creates, for -race; the sums
+// must come out exact and the cells Counter returns must be the ones the
+// name-based calls count into.
+func TestCountersConcurrentMixed(t *testing.T) {
+	c := NewCounters()
+	c.Add("old_sum", 0)
+	c.Set("old_gauge", 5)
+	const workers, iters = 6, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cell := c.Counter("new_cell")
+			var kvs []KV
+			for i := 0; i < iters; i++ {
+				c.Inc("old_sum")
+				c.Add(fmt.Sprintf("new_%d", i%7), 2)
+				cell.Add(1)
+				c.Set("old_gauge", int64(w))
+				c.Counter("old_sum").Add(1)
+				if i%50 == 0 {
+					_ = c.Snapshot()
+					kvs = c.AppendSorted(kvs[:0])
+					for k := 1; k < len(kvs); k++ {
+						if kvs[k-1].Name >= kvs[k].Name {
+							t.Errorf("AppendSorted out of order: %q before %q", kvs[k-1].Name, kvs[k].Name)
+							return
+						}
+					}
+					_ = c.Get("new_cell")
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := c.Get("old_sum"), int64(2*workers*iters); got != want {
+		t.Fatalf("old_sum = %d, want %d", got, want)
+	}
+	if got, want := c.Get("new_cell"), int64(workers*iters); got != want {
+		t.Fatalf("new_cell = %d, want %d", got, want)
+	}
+	var newSum int64
+	for i := 0; i < 7; i++ {
+		newSum += c.Get(fmt.Sprintf("new_%d", i))
+	}
+	if want := int64(2 * workers * iters); newSum != want {
+		t.Fatalf("new_* sum = %d, want %d", newSum, want)
+	}
+	if g := c.Get("old_gauge"); g < 0 || g >= workers {
+		t.Fatalf("old_gauge = %d, want a worker index", g)
+	}
+	if c.Counter("old_sum") != c.Counter("old_sum") {
+		t.Fatal("Counter returned two cells for one name")
+	}
+	if _, ok := c.Snapshot()["never_touched"]; ok || c.Get("never_touched") != 0 {
+		t.Fatal("Get created a counter")
 	}
 }

@@ -25,18 +25,53 @@ func Median(xs []float64) float64 {
 	return m
 }
 
-// MedianErr returns the median of xs, or ErrEmpty.
+// smallMedian is the largest sample count MedianErr sorts in a stack
+// array; a measurement slot's per-second series (30 s by default) fits.
+const smallMedian = 64
+
+// MedianErr returns the median of xs, or ErrEmpty. Up to smallMedian
+// samples it allocates nothing. The result equals that of sorting a copy
+// with sort.Float64s (NaN first), except that where +0 and −0 tie the
+// sign of a zero result may differ.
 func MedianErr(xs []float64) (float64, error) {
-	if len(xs) == 0 {
+	switch n := len(xs); {
+	case n == 0:
 		return 0, ErrEmpty
+	case n <= smallMedian:
+		var buf [smallMedian]float64
+		s := buf[:n]
+		copy(s, xs)
+		insertionSort(s)
+		return medianSorted(s), nil
+	default:
+		s := append([]float64(nil), xs...)
+		sort.Float64s(s)
+		return medianSorted(s), nil
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+}
+
+func medianSorted(s []float64) float64 {
 	n := len(s)
 	if n%2 == 1 {
-		return s[n/2], nil
+		return s[n/2]
 	}
-	return (s[n/2-1] + s[n/2]) / 2, nil
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// insertionSort sorts s ascending in sort.Float64s's order: NaNs first.
+func insertionSort(s []float64) {
+	for i := 1; i < len(s); i++ {
+		v := s[i]
+		j := i
+		for ; j > 0 && floatLess(v, s[j-1]); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = v
+	}
+}
+
+func floatLess(a, b float64) bool {
+	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
 }
 
 // Mean returns the arithmetic mean of xs, or 0 if xs is empty.

@@ -41,6 +41,73 @@ func TestMedianDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// medianBySort is the reference MedianErr is held to: copy, sort with
+// sort.Float64s, take the middle.
+func medianBySort(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// TestMedianMatchesSortReference checks MedianErr against medianBySort on
+// every length from 1 to 200, across the stack-array bound, with
+// duplicates, ±Inf and NaN. Results must be == or both NaN. Zeros are
+// drawn only as +0: where +0 and −0 tie, the two sorts may order them
+// differently and the median may differ in the sign of zero alone.
+func TestMedianMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, 1, -1}
+	draw := func(kind int) float64 {
+		switch kind {
+		case 0: // spread values, almost never equal
+			return rng.NormFloat64() * 1e6
+		case 1: // heavy duplicates
+			return float64(rng.Intn(4))
+		default: // duplicates mixed with specials
+			if rng.Intn(4) == 0 {
+				return specials[rng.Intn(len(specials))]
+			}
+			return float64(rng.Intn(8)) - 4
+		}
+	}
+	for n := 1; n <= 200; n++ {
+		for kind := 0; kind < 3; kind++ {
+			for trial := 0; trial < 4; trial++ {
+				xs := make([]float64, n)
+				for i := range xs {
+					xs[i] = draw(kind)
+				}
+				got, err := MedianErr(xs)
+				if err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+				want := medianBySort(xs)
+				if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("n=%d kind=%d: MedianErr=%v, sort reference=%v (input %v)", n, kind, got, want, xs)
+				}
+			}
+		}
+	}
+}
+
+// TestMedianSmallAllocs pins that a median of up to 64 samples — a slot's
+// per-second series — allocates nothing.
+func TestMedianSmallAllocs(t *testing.T) {
+	for _, n := range []int{1, 2, 30, 64} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64((i * 7) % n)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { Median(xs) }); allocs != 0 {
+			t.Fatalf("Median of %d samples: %v allocs, want 0", n, allocs)
+		}
+	}
+}
+
 func TestMeanAndStdev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {

@@ -374,8 +374,10 @@ func BenchmarkMarshal(b *testing.B) {
 	}
 }
 
-// BenchmarkCircuitCryptoBytes is the raw cell.Circuit crypto throughput on
-// the in-place path — the ceiling every wire scenario is bounded by.
+// BenchmarkCircuitCryptoBytes is the raw single-stream cell.Circuit
+// crypto throughput on the in-place path, in cells/s: the work a target
+// does for every measurement cell (§4.1), and the ceiling the data plane
+// is bounded by.
 func BenchmarkCircuitCryptoBytes(b *testing.B) {
 	circ, _ := NewCircuit(1, []byte("bench"))
 	buf := make([]byte, Size)
@@ -385,20 +387,20 @@ func BenchmarkCircuitCryptoBytes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		circ.Forward.ApplyBytes(PayloadOf(buf))
 	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 }
 
 // BenchmarkBatchEncrypt measures the full sender-side per-batch cost:
-// header writes plus in-place encryption of a pooled batch.
+// header writes plus in-place encryption of one batch.
 func BenchmarkBatchEncrypt(b *testing.B) {
 	circ, _ := NewCircuit(1, []byte("bench"))
-	buf := GetBatch()
-	defer PutBatch(buf)
+	buf := make([]byte, BatchBytes)
 	b.SetBytes(BatchBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for off := 0; off < BatchBytes; off += Size {
-			cb := (*buf)[off : off+Size]
+			cb := buf[off : off+Size]
 			PutHeader(cb, 1, MsmtData)
 			circ.Forward.ApplyBytes(PayloadOf(cb))
 		}

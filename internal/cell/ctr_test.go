@@ -139,3 +139,34 @@ func TestKeystreamVerifyZeroAlloc(t *testing.T) {
 		t.Fatalf("VerifyAt allocates %v per cell, want 0", n)
 	}
 }
+
+// BenchmarkKeystreamVerify is the measurer's echo-check cost in cells/s:
+// random-access VerifyAt over a batch of genuine echoes (zero payloads
+// run through the forward cipher, exactly what an honest target returns).
+// At check probability p the reader pays p × this per-cell cost.
+func BenchmarkKeystreamVerify(b *testing.B) {
+	km := DeriveKeys([]byte("bench-keystream-verify"))
+	ks, err := NewKeystream(km.ForwardKey, km.ForwardIV)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := NewCryptoState(km.ForwardKey, km.ForwardIV)
+	if err != nil {
+		b.Fatal(err)
+	}
+	echoes := make([][]byte, BatchCells)
+	for i := range echoes {
+		echoes[i] = make([]byte, PayloadSize)
+		enc.ApplyBytes(echoes[i])
+	}
+	b.SetBytes(PayloadSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % BatchCells
+		if !ks.VerifyAt(echoes[k], uint64(k)*PayloadSize) {
+			b.Fatal("keystream verification failed on an honest echo")
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+}

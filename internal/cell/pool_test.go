@@ -2,29 +2,33 @@ package cell
 
 import "testing"
 
-func TestBatchPoolRoundTrip(t *testing.T) {
-	b := GetBatch()
-	if len(*b) != BatchBytes {
-		t.Fatalf("batch length: got %d want %d", len(*b), BatchBytes)
+func TestSuperPoolRoundTrip(t *testing.T) {
+	b := GetSuper()
+	if len(*b) != SuperBytes {
+		t.Fatalf("arena length: got %d want %d", len(*b), SuperBytes)
 	}
-	// Reslice (as protocol code does when flushing a partial batch) and
+	// Reslice (as protocol code does when flushing a partial write) and
 	// return: the pool must restore the full length on the next Get.
 	*b = (*b)[:Size]
-	PutBatch(b)
-	c := GetBatch()
-	defer PutBatch(c)
-	if len(*c) != BatchBytes {
-		t.Fatalf("recycled batch length: got %d want %d", len(*c), BatchBytes)
+	PutSuper(b)
+	c := GetSuper()
+	defer PutSuper(c)
+	if len(*c) != SuperBytes {
+		t.Fatalf("recycled arena length: got %d want %d", len(*c), SuperBytes)
 	}
 }
 
-func TestBatchPoolRejectsForeignBuffers(t *testing.T) {
-	PutBatch(nil) // must not panic
-	small := make([]byte, Size)
-	PutBatch(&small) // dropped, not pooled
-	b := GetBatch()
-	defer PutBatch(b)
-	if len(*b) != BatchBytes {
+func TestSuperPoolRejectsForeignBuffers(t *testing.T) {
+	before := ReadPoolStats()
+	PutSuper(nil) // must not panic
+	small := make([]byte, BatchBytes)
+	PutSuper(&small) // dropped, not pooled
+	if n := ReadPoolStats().Outstanding(before); n != 0 {
+		t.Fatalf("foreign buffers counted as returns: %d outstanding", n)
+	}
+	b := GetSuper()
+	defer PutSuper(b)
+	if len(*b) != SuperBytes {
 		t.Fatalf("pool returned foreign buffer of length %d", len(*b))
 	}
 }

@@ -3,7 +3,9 @@ package cell
 import (
 	"bytes"
 	"crypto/rand"
+	"math"
 	"testing"
+	"time"
 )
 
 // TestApplySpansMatchesSequential pins the span API's defining property:
@@ -112,5 +114,65 @@ func TestApplySpansZeroAllocs(t *testing.T) {
 		st.ApplySpans(arena, offs, scratch)
 	}); n != 0 {
 		t.Fatalf("ApplySpans: %v allocs per %d-cell span, want 0", n, SuperCells)
+	}
+}
+
+// spanPairsPerOp is the number of interleaved sequential/span passes one
+// BenchmarkApplySpans op makes, so even a single-iteration run (-benchtime
+// 1x) compares many samples per side.
+const spanPairsPerOp = 32
+
+// BenchmarkApplySpans races the span decrypt (one XORKeyStream per
+// SpanCells payloads, scattered back per cell) against sequential
+// per-payload ApplyBytes calls over the same super arena. The two sides
+// alternate pass by pass, so scheduler and thermal drift hit both alike,
+// and each side's fastest pass is compared so a preemption landing in one
+// pass cannot decide the race. It reports the span path's cells/s and
+// span_ratio (sequential time / span time for equal cells), and fails
+// unless spans win: materializing keystream in cipher-sized runs instead
+// of 509-byte calls is the whole point of the span path.
+// TestApplySpansMatchesSequential pins that both produce the same bytes.
+func BenchmarkApplySpans(b *testing.B) {
+	km := DeriveKeys([]byte("bench-apply-spans"))
+	seqSt, err := NewCryptoState(km.ForwardKey, km.ForwardIV)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spanSt, err := NewCryptoState(km.ForwardKey, km.ForwardIV)
+	if err != nil {
+		b.Fatal(err)
+	}
+	arena := make([]byte, SuperBytes)
+	offs := make([]int32, SuperCells)
+	payloads := make([][]byte, SuperCells)
+	for i := range offs {
+		offs[i] = int32(i * Size)
+		payloads[i] = PayloadOf(arena[i*Size:])
+	}
+	scratch := NewSpanScratch()
+
+	var spanTotal time.Duration
+	seqBest, spanBest := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < spanPairsPerOp; j++ {
+			t0 := time.Now()
+			for _, p := range payloads {
+				seqSt.ApplyBytes(p)
+			}
+			t1 := time.Now()
+			spanSt.ApplySpans(arena, offs, scratch)
+			t2 := time.Now()
+			seqBest = min(seqBest, t1.Sub(t0))
+			spanBest = min(spanBest, t2.Sub(t1))
+			spanTotal += t2.Sub(t1)
+		}
+	}
+	b.StopTimer()
+	ratio := seqBest.Seconds() / spanBest.Seconds()
+	b.ReportMetric(float64(b.N*spanPairsPerOp*SuperCells)/spanTotal.Seconds(), "cells/s")
+	b.ReportMetric(ratio, "span_ratio")
+	if ratio <= 1 {
+		b.Fatalf("span decrypt %.3fx sequential, want >1x", ratio)
 	}
 }

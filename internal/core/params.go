@@ -47,9 +47,9 @@ type Params struct {
 	// original batch pipeline did. The default (false) aborts a slot as
 	// soon as a majority of its seconds prove the estimate cannot be
 	// accepted for the current allocation, jumping straight to the next
-	// doubling step. Kept as a knob for A/B comparison (the
-	// coord-round-abort perf scenario) and for operators who prefer
-	// fixed-length slots.
+	// doubling step. Kept as a knob for A/B comparison
+	// (internal/coord's TestEarlyAbortSavesSlotSeconds) and for operators
+	// who prefer fixed-length slots.
 	DisableEarlyAbort bool
 }
 

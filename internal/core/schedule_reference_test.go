@@ -12,7 +12,7 @@ package core
 // over the same feasible count, selecting the same k-th slot in slot
 // order — so the two builders produce byte-identical schedules. The
 // equivalence property tests in schedule_equiv_test.go and the
-// schedule-build perf scenarios both rely on this.
+// BenchmarkScheduleBuild speedup gate both rely on this.
 //
 // The returned Schedule carries no relay index (SlotOf falls back to the
 // linear scan), mirroring the seed data structure.

@@ -207,3 +207,38 @@ func TestRenderETag(t *testing.T) {
 		t.Fatalf("changed state kept ETag %q", etag)
 	}
 }
+
+// BenchmarkV3BWRoundTrip1M streams a million-entry bandwidth file through
+// WriteTo into one reused buffer and parses it back: the snapshot round
+// trip a coordinator and a directory authority perform each period. It
+// reports entries/s surviving the round trip.
+func BenchmarkV3BWRoundTrip1M(b *testing.B) {
+	const n = 1000000
+	entries := make([]BandwidthEntry, n)
+	for i := range entries {
+		capBps := 1e6 * (1 + float64(i%4096)) * (1 + float64(i)*1e-8)
+		entries[i] = BandwidthEntry{Name: fmt.Sprintf("relay-%07d", i), WeightBps: capBps, CapacityBps: capBps}
+	}
+	f := NewBandwidthFile("bench", time.Hour, entries)
+	var buf bytes.Buffer
+	roundTrip := func() {
+		buf.Reset()
+		if _, err := f.WriteTo(&buf); err != nil {
+			b.Fatal(err)
+		}
+		parsed, err := ParseV3BW(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(parsed.Entries) != n {
+			b.Fatalf("round trip kept %d of %d entries", len(parsed.Entries), n)
+		}
+	}
+	roundTrip() // grows the buffer
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+	b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "entries/s")
+}

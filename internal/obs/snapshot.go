@@ -70,7 +70,7 @@ func (h *SnapshotHolder) Publish(round int, f *dirauth.BandwidthFile, now time.T
 func (h *SnapshotHolder) set(s *v3bwSnapshot) { h.cur.Store(s) }
 
 // Renders reports how many times a bandwidth file has been rendered into
-// a snapshot body — the serve-v3bw perf gate asserts this stays flat
+// a snapshot body — TestServeV3BWCachedPath asserts this stays flat
 // while requests (conditional or not) are being answered.
 func (h *SnapshotHolder) Renders() int64 { return h.renders.Load() }
 

@@ -110,9 +110,7 @@ func allocTestMux(t *testing.T, nCirc int) *muxState {
 func TestTargetEchoPathZeroAllocs(t *testing.T) {
 	const nCirc = 8
 	ms := allocTestMux(t, nCirc)
-	buf := cell.GetBatch()
-	defer cell.PutBatch(buf)
-	batch := *buf
+	batch := make([]byte, cell.BatchBytes)
 	for i := 0; i < cell.BatchCells; i++ {
 		cell.PutHeader(batch[i*cell.Size:], uint32(i%nCirc)+1, cell.MsmtData)
 	}

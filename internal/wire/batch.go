@@ -25,7 +25,7 @@ type cellReader struct {
 }
 
 // newCellReader wraps r with buf as the refill buffer. buf must hold at
-// least one cell; pooled batch buffers (cell.GetBatch) are the intended
+// least one cell; pooled super arenas (cell.GetSuper) are the intended
 // source. The cellReader borrows buf for its lifetime — the caller returns
 // it to the pool only after the reader is abandoned.
 func newCellReader(r io.Reader, buf []byte) *cellReader {

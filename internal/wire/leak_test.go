@@ -18,15 +18,14 @@ import (
 // t.Parallel), so the global counters see only their own session.
 
 // poolBalanced runs fn between two pool snapshots and fails the test if
-// any batch or super buffers leaked.
+// any super arenas leaked.
 func poolBalanced(t *testing.T, name string, fn func()) {
 	t.Helper()
 	before := cell.ReadPoolStats()
 	fn()
 	after := cell.ReadPoolStats()
-	batch, super := after.Outstanding(before)
-	if batch != 0 || super != 0 {
-		t.Fatalf("%s leaked pooled buffers: %d batch, %d super outstanding", name, batch, super)
+	if n := after.Outstanding(before); n != 0 {
+		t.Fatalf("%s leaked pooled buffers: %d super arenas outstanding", name, n)
 	}
 }
 

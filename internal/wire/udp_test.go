@@ -183,8 +183,10 @@ func TestMeasureUDPCorruptTarget(t *testing.T) {
 }
 
 // TestMeasureUDPLoopback runs the datagram plane over real sockets:
-// TCP control, UDP data, loopback. Loss is possible in principle (kernel
-// buffers), so only the protocol outcome is asserted, not zero loss.
+// TCP control, UDP data, loopback, eight unpaced circuits. Some loss
+// under an unpaced firehose is physics (kernel buffers), so zero loss is
+// not asserted; losing more than half the cells means the plane is
+// broken, not lossy.
 func TestMeasureUDPLoopback(t *testing.T) {
 	id, err := NewIdentity()
 	if err != nil {
@@ -212,8 +214,8 @@ func TestMeasureUDPLoopback(t *testing.T) {
 	if res.CellsChecked == 0 {
 		t.Fatal("no cells spot-checked")
 	}
-	if res.SentCells == 0 || res.SentCells == res.LostCells {
-		t.Fatalf("no echoes came back: sent %d, lost %d", res.SentCells, res.LostCells)
+	if res.SentCells == 0 || res.LostCells > res.SentCells/2 {
+		t.Fatalf("udp echo lost %d of %d cells, want at most half", res.LostCells, res.SentCells)
 	}
 }
 

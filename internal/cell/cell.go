@@ -1,10 +1,10 @@
 // Package cell implements the Tor-like cell layer used by the FlashFlow
 // reproduction: fixed 514-byte cells, command encoding, and the per-hop
-// relay crypto (AES-CTR with a running digest) that a target relay must
-// perform on measurement traffic. The paper's measurement protocol requires
-// the target to do exactly the cryptographic work it would do for normal
-// client traffic (§4.1), so this package implements real cipher operations
-// rather than simulating them.
+// relay crypto (AES-128-CTR, one cipher step per cell) that a target relay
+// must perform on measurement traffic. The paper's measurement protocol
+// requires the target to do exactly the cryptographic work it would do for
+// normal client traffic (§4.1), so this package implements real cipher
+// operations rather than simulating them.
 package cell
 
 import (
@@ -13,7 +13,6 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
@@ -81,48 +80,11 @@ func (c Command) String() string {
 	}
 }
 
-// Cell is a fixed-size Tor cell.
-type Cell struct {
-	CircID  uint32
-	Cmd     Command
-	Payload [PayloadSize]byte
-}
-
-// Errors returned by the codec.
-var (
-	ErrShortBuffer = errors.New("cell: buffer smaller than cell size")
-	ErrBadCommand  = errors.New("cell: unknown command")
-)
-
-// Marshal encodes the cell into buf, which must be at least Size bytes.
-// It returns the number of bytes written (always Size).
-func (c *Cell) Marshal(buf []byte) (int, error) {
-	if len(buf) < Size {
-		return 0, ErrShortBuffer
-	}
-	binary.BigEndian.PutUint32(buf[0:4], c.CircID)
-	buf[4] = byte(c.Cmd)
-	copy(buf[5:Size], c.Payload[:])
-	return Size, nil
-}
-
-// Unmarshal decodes a cell from buf, which must hold at least Size bytes.
-func (c *Cell) Unmarshal(buf []byte) error {
-	if len(buf) < Size {
-		return ErrShortBuffer
-	}
-	c.CircID = binary.BigEndian.Uint32(buf[0:4])
-	c.Cmd = Command(buf[4])
-	copy(c.Payload[:], buf[5:Size])
-	return nil
-}
-
 // The in-place accessors below are the allocation-free view of an encoded
 // cell: the measurement data plane operates directly on wire buffers
-// (header parse, payload crypto, digest checks) without ever materializing
-// a Cell struct or copying the 509-byte payload. Callers must pass a slice
-// of at least Size bytes; the accessors do not re-validate length beyond
-// what slicing enforces.
+// (header parse, payload crypto, echo checks) without ever copying the
+// 509-byte payload. Callers must pass a slice of at least Size bytes; the
+// accessors do not re-validate length beyond what slicing enforces.
 
 // PutHeader writes the 5-byte cell header (circuit ID + command) into buf,
 // leaving the payload bytes untouched. buf must hold at least Size bytes.
@@ -142,14 +104,13 @@ func CommandOf(buf []byte) Command { return Command(buf[4]) }
 // fill, in-place crypto — are visible in the wire buffer.
 func PayloadOf(buf []byte) []byte { return buf[5:Size] }
 
-// KeyMaterial holds the directional keys for one circuit hop, derived from
-// the handshake shared secret. Forward keys encrypt measurer→relay cells;
-// backward keys encrypt relay→measurer cells.
+// KeyMaterial holds the forward (measurer→relay) key and IV for one
+// circuit hop, derived from the handshake shared secret. Measurement
+// cells only travel forward, and the echo returns the target's forward
+// decrypt, so no backward direction is derived.
 type KeyMaterial struct {
-	ForwardKey  [16]byte
-	BackwardKey [16]byte
-	ForwardIV   [16]byte
-	BackwardIV  [16]byte
+	ForwardKey [16]byte
+	ForwardIV  [16]byte
 }
 
 // DeriveKeys expands a shared secret into circuit key material using an
@@ -163,9 +124,7 @@ func DeriveKeys(secret []byte) KeyMaterial {
 		copy(out, sum)
 	}
 	expand("flashflow-fwd-key", km.ForwardKey[:])
-	expand("flashflow-bwd-key", km.BackwardKey[:])
 	expand("flashflow-fwd-iv", km.ForwardIV[:])
-	expand("flashflow-bwd-iv", km.BackwardIV[:])
 	return km
 }
 
@@ -185,14 +144,9 @@ func NewCryptoState(key, iv [16]byte) (*CryptoState, error) {
 	return &CryptoState{stream: cipher.NewCTR(block, iv[:])}, nil
 }
 
-// Apply encrypts or decrypts the cell payload in place (CTR mode is an
-// involution when both sides keep matching stream positions).
-func (s *CryptoState) Apply(c *Cell) {
-	s.ApplyBytes(c.Payload[:])
-}
-
-// ApplyBytes encrypts or decrypts one cell payload in place directly on a
-// wire buffer (typically PayloadOf of an encoded cell). This is the
+// ApplyBytes encrypts or decrypts one cell payload in place (CTR mode is
+// an involution when both sides keep matching stream positions) directly
+// on a wire buffer (typically PayloadOf of an encoded cell). This is the
 // zero-allocation hot path: the cipher stream was allocated once at
 // circuit setup and XORKeyStream never touches the heap. Each call
 // advances the stream by exactly len(p) bytes, so cells must still be
@@ -205,35 +159,3 @@ func (s *CryptoState) ApplyBytes(p []byte) {
 
 // Processed returns the number of cells this state has transformed.
 func (s *CryptoState) Processed() uint64 { return s.count }
-
-// Circuit bundles the two directional crypto states of a measurement
-// circuit endpoint.
-type Circuit struct {
-	ID       uint32
-	Forward  *CryptoState
-	Backward *CryptoState
-}
-
-// NewCircuit derives keys from secret and initializes both directions.
-func NewCircuit(id uint32, secret []byte) (*Circuit, error) {
-	km := DeriveKeys(secret)
-	fwd, err := NewCryptoState(km.ForwardKey, km.ForwardIV)
-	if err != nil {
-		return nil, err
-	}
-	bwd, err := NewCryptoState(km.BackwardKey, km.BackwardIV)
-	if err != nil {
-		return nil, err
-	}
-	return &Circuit{ID: id, Forward: fwd, Backward: bwd}, nil
-}
-
-// Digest returns a short content digest of a payload, used by measurers to
-// spot-check echoed cells (§4.1: the measurer records sent cell contents
-// with probability p and verifies the returned contents).
-func Digest(payload []byte) [8]byte {
-	sum := sha256.Sum256(payload)
-	var d [8]byte
-	copy(d[:], sum[:8])
-	return d
-}

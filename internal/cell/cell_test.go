@@ -1,43 +1,23 @@
 package cell
 
 import (
+	"bytes"
 	"crypto/rand"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
 
-func TestMarshalUnmarshalRoundTrip(t *testing.T) {
-	var c Cell
-	c.CircID = 0xdeadbeef
-	c.Cmd = MsmtData
-	for i := range c.Payload {
-		c.Payload[i] = byte(i)
-	}
-	buf := make([]byte, Size)
-	n, err := c.Marshal(buf)
+// forwardState returns a fresh forward crypto state keyed from secret, as
+// each end of a circuit derives it after the handshake.
+func forwardState(tb testing.TB, secret []byte) *CryptoState {
+	tb.Helper()
+	km := DeriveKeys(secret)
+	st, err := NewCryptoState(km.ForwardKey, km.ForwardIV)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if n != Size {
-		t.Fatalf("marshal length: got %d want %d", n, Size)
-	}
-	var d Cell
-	if err := d.Unmarshal(buf); err != nil {
-		t.Fatal(err)
-	}
-	if d.CircID != c.CircID || d.Cmd != c.Cmd || d.Payload != c.Payload {
-		t.Fatal("round trip mismatch")
-	}
-}
-
-func TestMarshalShortBuffer(t *testing.T) {
-	var c Cell
-	if _, err := c.Marshal(make([]byte, Size-1)); err != ErrShortBuffer {
-		t.Fatalf("want ErrShortBuffer, got %v", err)
-	}
-	if err := c.Unmarshal(make([]byte, 3)); err != ErrShortBuffer {
-		t.Fatalf("want ErrShortBuffer, got %v", err)
-	}
+	return st
 }
 
 func TestCellSizeConstants(t *testing.T) {
@@ -61,6 +41,7 @@ func TestCommandString(t *testing.T) {
 		MsmtData:    "MSMT_DATA",
 		MsmtBG:      "MSMT_BG",
 		MsmtEnd:     "MSMT_END",
+		MsmtUdp:     "MSMT_UDP",
 		Command(99): "UNKNOWN(99)",
 	}
 	for cmd, want := range cases {
@@ -80,110 +61,114 @@ func TestDeriveKeysDeterministic(t *testing.T) {
 	if a == c {
 		t.Fatal("different secrets produced identical keys")
 	}
-	if a.ForwardKey == a.BackwardKey {
-		t.Fatal("forward and backward keys must differ")
+	if a.ForwardKey == a.ForwardIV {
+		t.Fatal("key and IV must differ")
+	}
+}
+
+// TestMarshalUnmarshalRoundTrip marshals a cell in place (PutHeader over a
+// filled payload) and unmarshals it with the accessors.
+func TestMarshalUnmarshalRoundTrip(t *testing.T) {
+	buf := make([]byte, Size)
+	p := PayloadOf(buf)
+	for i := range p {
+		p[i] = byte(i)
+	}
+	want := bytes.Clone(p)
+	PutHeader(buf, 0xdeadbeef, MsmtData)
+	if CircIDOf(buf) != 0xdeadbeef || CommandOf(buf) != MsmtData {
+		t.Fatalf("header round trip: circ %#x cmd %v", CircIDOf(buf), CommandOf(buf))
+	}
+	if !bytes.Equal(PayloadOf(buf), want) {
+		t.Fatal("payload changed by the header write")
+	}
+}
+
+// Property: PutHeader and the in-place accessors round-trip arbitrary
+// headers and leave the payload untouched.
+func TestMarshalRoundTripQuick(t *testing.T) {
+	f := func(circID uint32, cmd uint8, payload []byte) bool {
+		buf := make([]byte, Size)
+		copy(PayloadOf(buf), payload)
+		want := bytes.Clone(PayloadOf(buf))
+		PutHeader(buf, circID, Command(cmd))
+		return CircIDOf(buf) == circID && CommandOf(buf) == Command(cmd) &&
+			bytes.Equal(PayloadOf(buf), want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHeaderAccessorsWireLayout pins the accessors to Tor's link-protocol
+// cell layout: a 4-byte big-endian circuit ID, a command byte, then the
+// 509-byte payload.
+func TestHeaderAccessorsWireLayout(t *testing.T) {
+	buf := make([]byte, Size)
+	PutHeader(buf, 0x01020304, MsmtData)
+	if !bytes.Equal(buf[:5], []byte{1, 2, 3, 4, byte(MsmtData)}) {
+		t.Fatalf("header bytes %x", buf[:5])
+	}
+	p := PayloadOf(buf)
+	if len(p) != PayloadSize || &p[0] != &buf[5] {
+		t.Fatal("PayloadOf must alias buf[5:Size]")
+	}
+	binary.BigEndian.PutUint32(buf, 0xdeadbeef)
+	if CircIDOf(buf) != 0xdeadbeef {
+		t.Fatal("CircIDOf disagrees with the wire layout")
 	}
 }
 
 func TestCircuitCryptoRoundTrip(t *testing.T) {
 	secret := []byte("shared-secret")
-	measurer, err := NewCircuit(1, secret)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target, err := NewCircuit(1, secret)
-	if err != nil {
-		t.Fatal(err)
-	}
+	measurer := forwardState(t, secret)
+	target := forwardState(t, secret)
 
-	var c Cell
-	c.CircID = 1
-	c.Cmd = MsmtData
-	copy(c.Payload[:], []byte("hello measurement world"))
-	orig := c.Payload
+	buf := make([]byte, Size)
+	p := PayloadOf(buf)
+	copy(p, []byte("hello measurement world"))
+	orig := bytes.Clone(p)
 
 	// Measurer encrypts forward; target decrypts forward.
-	measurer.Forward.Apply(&c)
-	if c.Payload == orig {
+	measurer.ApplyBytes(p)
+	if bytes.Equal(p, orig) {
 		t.Fatal("forward encryption was a no-op")
 	}
-	target.Forward.Apply(&c)
-	if c.Payload != orig {
+	target.ApplyBytes(p)
+	if !bytes.Equal(p, orig) {
 		t.Fatal("target failed to decrypt forward cell")
-	}
-
-	// Target encrypts backward (echo); measurer decrypts backward.
-	target.Backward.Apply(&c)
-	measurer.Backward.Apply(&c)
-	if c.Payload != orig {
-		t.Fatal("echo round trip failed")
 	}
 }
 
 func TestCryptoStateOrderMatters(t *testing.T) {
 	secret := []byte("s")
-	a, _ := NewCircuit(1, secret)
-	b, _ := NewCircuit(1, secret)
+	a := forwardState(t, secret)
+	b := forwardState(t, secret)
 
-	var c1, c2 Cell
-	copy(c1.Payload[:], []byte("first"))
-	copy(c2.Payload[:], []byte("second"))
-	want2 := c2.Payload
+	c1 := make([]byte, PayloadSize)
+	c2 := make([]byte, PayloadSize)
+	copy(c1, []byte("first"))
+	copy(c2, []byte("second"))
+	want2 := bytes.Clone(c2)
 
-	a.Forward.Apply(&c1)
-	a.Forward.Apply(&c2)
+	a.ApplyBytes(c1)
+	a.ApplyBytes(c2)
 
 	// Decrypting out of order must not recover the plaintext.
-	b.Forward.Apply(&c2)
-	if c2.Payload == want2 {
+	b.ApplyBytes(c2)
+	if bytes.Equal(c2, want2) {
 		t.Fatal("out-of-order decryption should corrupt the payload")
 	}
 }
 
 func TestCryptoStateCount(t *testing.T) {
-	circ, _ := NewCircuit(7, []byte("k"))
-	var c Cell
+	st := forwardState(t, []byte("k"))
+	p := make([]byte, PayloadSize)
 	for i := 0; i < 5; i++ {
-		circ.Forward.Apply(&c)
+		st.ApplyBytes(p)
 	}
-	if circ.Forward.Processed() != 5 {
-		t.Fatalf("processed: got %d want 5", circ.Forward.Processed())
-	}
-	if circ.Backward.Processed() != 0 {
-		t.Fatalf("backward processed: got %d want 0", circ.Backward.Processed())
-	}
-}
-
-func TestDigestDistinguishes(t *testing.T) {
-	a := Digest([]byte("payload-a"))
-	b := Digest([]byte("payload-b"))
-	if a == b {
-		t.Fatal("digest collision on trivially different payloads")
-	}
-	if a != Digest([]byte("payload-a")) {
-		t.Fatal("digest not deterministic")
-	}
-}
-
-// Property: marshal/unmarshal round-trips arbitrary cells.
-func TestMarshalRoundTripQuick(t *testing.T) {
-	f := func(circID uint32, cmd uint8, payload []byte) bool {
-		var c Cell
-		c.CircID = circID
-		c.Cmd = Command(cmd)
-		copy(c.Payload[:], payload)
-		buf := make([]byte, Size)
-		if _, err := c.Marshal(buf); err != nil {
-			return false
-		}
-		var d Cell
-		if err := d.Unmarshal(buf); err != nil {
-			return false
-		}
-		return d == c
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	if st.Processed() != 5 {
+		t.Fatalf("processed: got %d want 5", st.Processed())
 	}
 }
 
@@ -194,23 +179,15 @@ func TestCircuitCryptoQuick(t *testing.T) {
 		if len(secret) == 0 {
 			secret = []byte{0}
 		}
-		m, err := NewCircuit(1, secret)
-		if err != nil {
-			return false
-		}
-		r, err := NewCircuit(1, secret)
-		if err != nil {
-			return false
-		}
-		for _, p := range payloads {
-			var c Cell
-			copy(c.Payload[:], p)
-			orig := c.Payload
-			m.Forward.Apply(&c)
-			r.Forward.Apply(&c)
-			r.Backward.Apply(&c)
-			m.Backward.Apply(&c)
-			if c.Payload != orig {
+		m := forwardState(t, secret)
+		r := forwardState(t, secret)
+		for _, payload := range payloads {
+			p := make([]byte, PayloadSize)
+			copy(p, payload)
+			orig := bytes.Clone(p)
+			m.ApplyBytes(p)
+			r.ApplyBytes(p)
+			if !bytes.Equal(p, orig) {
 				return false
 			}
 		}
@@ -221,171 +198,99 @@ func TestCircuitCryptoQuick(t *testing.T) {
 	}
 }
 
+// TestRandomPayloadEchoDetectsForgery checks the measurer's echo check
+// end to end on one cell: a target that decrypts the zero-payload cell
+// echoes the forward keystream and passes, while one that returns the
+// payload untouched or returns random bytes fails.
 func TestRandomPayloadEchoDetectsForgery(t *testing.T) {
-	// A relay that echoes garbage instead of decrypt-and-return must be
-	// detected by the digest check with overwhelming probability.
-	secret := []byte("check")
-	m, _ := NewCircuit(1, secret)
-	r, _ := NewCircuit(1, secret)
-
-	var c Cell
-	if _, err := rand.Read(c.Payload[:]); err != nil {
+	km := DeriveKeys([]byte("check"))
+	ks, err := NewKeystream(km.ForwardKey, km.ForwardIV)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := Digest(c.Payload[:])
+	target := forwardState(t, []byte("check"))
 
-	m.Forward.Apply(&c)
-	r.Forward.Apply(&c) // honest decrypt
-	honest := Digest(c.Payload[:])
-	if honest != want {
-		t.Fatal("honest relay failed digest check")
+	honest := make([]byte, PayloadSize)
+	target.ApplyBytes(honest)
+	if !ks.VerifyAt(honest, 0) {
+		t.Fatal("honest echo failed the check")
 	}
-
-	// Forged echo: relay returns the still-encrypted cell.
-	var f Cell
-	if _, err := rand.Read(f.Payload[:]); err != nil {
+	untouched := make([]byte, PayloadSize)
+	if ks.VerifyAt(untouched, PayloadSize) {
+		t.Fatal("an echo that skipped the decrypt passed the check")
+	}
+	forged := make([]byte, PayloadSize)
+	if _, err := rand.Read(forged); err != nil {
 		t.Fatal(err)
 	}
-	m2, _ := NewCircuit(2, secret)
-	wantForged := Digest(f.Payload[:])
-	m2.Forward.Apply(&f) // encrypted, relay skips decryption
-	if Digest(f.Payload[:]) == wantForged {
-		t.Fatal("forged echo should fail digest check")
+	if ks.VerifyAt(forged, PayloadSize) {
+		t.Fatal("a random echo passed the check")
 	}
 }
 
 // Zero-allocation guards: the per-cell operations of the measurement data
-// plane — header encode/parse, in-place payload crypto, digest — must not
+// plane — header encode/parse and in-place payload crypto — must not
 // touch the heap. These are the invariants the batched wire path depends
 // on; a regression here shows up as GC pressure at line rate.
 
 func TestApplyBytesZeroAllocs(t *testing.T) {
-	circ, err := NewCircuit(1, []byte("alloc-guard"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := forwardState(t, []byte("alloc-guard"))
 	buf := make([]byte, Size)
 	if n := testing.AllocsPerRun(200, func() {
-		circ.Forward.ApplyBytes(PayloadOf(buf))
+		st.ApplyBytes(PayloadOf(buf))
 	}); n != 0 {
 		t.Fatalf("ApplyBytes allocates %v per cell, want 0", n)
 	}
 }
 
-func TestHeaderAndDigestZeroAllocs(t *testing.T) {
+func TestMarshalUnmarshalZeroAllocs(t *testing.T) {
 	buf := make([]byte, Size)
-	var sink [8]byte
 	if n := testing.AllocsPerRun(200, func() {
 		PutHeader(buf, 1, MsmtData)
+		if CommandOf(buf) != MsmtData || CircIDOf(buf) != 1 || len(PayloadOf(buf)) != PayloadSize {
+			t.Fatal("header round trip")
+		}
+	}); n != 0 {
+		t.Fatalf("header path allocates %v per cell, want 0", n)
+	}
+}
+
+// TestHeaderAndDigestZeroAllocs pins the measurer's per-echo work: parse
+// the header, then check the payload against the keystream (VerifyAt is
+// the echo check that replaced the payload digest).
+func TestHeaderAndDigestZeroAllocs(t *testing.T) {
+	km := DeriveKeys([]byte("alloc-guard"))
+	ks, err := NewKeystream(km.ForwardKey, km.ForwardIV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, Size)
+	PutHeader(buf, 1, MsmtData)
+	forwardState(t, []byte("alloc-guard")).ApplyBytes(PayloadOf(buf))
+	if n := testing.AllocsPerRun(200, func() {
 		if CommandOf(buf) != MsmtData || CircIDOf(buf) != 1 {
 			t.Fatal("header round trip")
 		}
-		sink = Digest(PayloadOf(buf))
-	}); n != 0 {
-		t.Fatalf("header+digest path allocates %v per cell, want 0", n)
-	}
-	_ = sink
-}
-
-func TestMarshalUnmarshalZeroAllocs(t *testing.T) {
-	var c, d Cell
-	buf := make([]byte, Size)
-	if n := testing.AllocsPerRun(200, func() {
-		if _, err := c.Marshal(buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Unmarshal(buf); err != nil {
-			t.Fatal(err)
+		if !ks.VerifyAt(PayloadOf(buf), 0) {
+			t.Fatal("honest echo failed the check")
 		}
 	}); n != 0 {
-		t.Fatalf("marshal/unmarshal allocates %v per cell, want 0", n)
+		t.Fatalf("header+echo check allocates %v per cell, want 0", n)
 	}
 }
 
-func TestInPlaceAccessorsMatchMarshal(t *testing.T) {
-	var c Cell
-	c.CircID = 0x01020304
-	c.Cmd = MsmtData
-	for i := range c.Payload {
-		c.Payload[i] = byte(i * 7)
-	}
-	buf := make([]byte, Size)
-	if _, err := c.Marshal(buf); err != nil {
-		t.Fatal(err)
-	}
-	if CircIDOf(buf) != c.CircID || CommandOf(buf) != c.Cmd {
-		t.Fatal("in-place header accessors disagree with Marshal")
-	}
-	if [PayloadSize]byte(PayloadOf(buf)) != c.Payload {
-		t.Fatal("PayloadOf disagrees with Marshal")
-	}
-
-	var raw [Size]byte
-	PutHeader(raw[:], c.CircID, c.Cmd)
-	copy(PayloadOf(raw[:]), c.Payload[:])
-	var d Cell
-	if err := d.Unmarshal(raw[:]); err != nil {
-		t.Fatal(err)
-	}
-	if d != c {
-		t.Fatal("PutHeader+PayloadOf encoding disagrees with Unmarshal")
-	}
-}
-
-func TestApplyBytesMatchesApply(t *testing.T) {
-	secret := []byte("equivalence")
-	a, _ := NewCircuit(1, secret)
-	b, _ := NewCircuit(1, secret)
-
-	var c Cell
-	copy(c.Payload[:], []byte("same stream position"))
-	raw := make([]byte, Size)
-	copy(PayloadOf(raw), c.Payload[:])
-
-	a.Forward.Apply(&c)
-	b.Forward.ApplyBytes(PayloadOf(raw))
-	if [PayloadSize]byte(PayloadOf(raw)) != c.Payload {
-		t.Fatal("ApplyBytes and Apply diverge at the same stream position")
-	}
-	if a.Forward.Processed() != b.Forward.Processed() {
-		t.Fatal("cell counters diverge")
-	}
-}
-
-func BenchmarkCellCrypto(b *testing.B) {
-	m, _ := NewCircuit(1, []byte("bench"))
-	var c Cell
-	b.SetBytes(Size)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Forward.Apply(&c)
-	}
-}
-
-func BenchmarkMarshal(b *testing.B) {
-	var c Cell
-	buf := make([]byte, Size)
-	b.SetBytes(Size)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Marshal(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCircuitCryptoBytes is the raw single-stream cell.Circuit
-// crypto throughput on the in-place path, in cells/s: the work a target
-// does for every measurement cell (§4.1), and the ceiling the data plane
-// is bounded by.
+// BenchmarkCircuitCryptoBytes is the raw single-stream circuit crypto
+// throughput on the in-place path, in cells/s: the work a target does for
+// every measurement cell (§4.1), and the ceiling the data plane is
+// bounded by.
 func BenchmarkCircuitCryptoBytes(b *testing.B) {
-	circ, _ := NewCircuit(1, []byte("bench"))
+	st := forwardState(b, []byte("bench"))
 	buf := make([]byte, Size)
 	b.SetBytes(Size)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		circ.Forward.ApplyBytes(PayloadOf(buf))
+		st.ApplyBytes(PayloadOf(buf))
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 }
@@ -393,7 +298,7 @@ func BenchmarkCircuitCryptoBytes(b *testing.B) {
 // BenchmarkBatchEncrypt measures the full sender-side per-batch cost:
 // header writes plus in-place encryption of one batch.
 func BenchmarkBatchEncrypt(b *testing.B) {
-	circ, _ := NewCircuit(1, []byte("bench"))
+	st := forwardState(b, []byte("bench"))
 	buf := make([]byte, BatchBytes)
 	b.SetBytes(BatchBytes)
 	b.ReportAllocs()
@@ -402,7 +307,7 @@ func BenchmarkBatchEncrypt(b *testing.B) {
 		for off := 0; off < BatchBytes; off += Size {
 			cb := buf[off : off+Size]
 			PutHeader(cb, 1, MsmtData)
-			circ.Forward.ApplyBytes(PayloadOf(cb))
+			st.ApplyBytes(PayloadOf(cb))
 		}
 	}
 }

@@ -50,20 +50,27 @@ var ErrInsufficientCapacity = errors.New("core: insufficient team capacity")
 
 // AllocateGreedy implements §4.2's greedy allocation: to supply needBps of
 // measurement capacity, repeatedly assign the measurer with the most
-// residual capacity either all of its remaining capacity or as much as is
-// needed to reach the target. It returns the allocation without mutating
-// the measurers; callers commit it with Commit.
+// capacity either all of its residual (uncommitted) capacity or as much as
+// is needed to reach the target. It returns the allocation without
+// mutating the measurers; callers commit it with Commit.
 func AllocateGreedy(team []*Measurer, needBps float64, p Params) (Allocation, error) {
 	return AllocateGreedyFrom(team, needBps, 0, p)
 }
 
-// AllocateGreedyFrom is AllocateGreedy with the equal-residual tie-break
+// AllocateGreedyFrom is AllocateGreedy with the equal-capacity tie-break
 // rotated to start at the given index. Under concurrent measurements the
 // plain index tie-break races — whichever slot allocates first grabs the
 // first measurer, so a relay's measurer assignment flips from round to
 // round. The continuous coordinator derives the rotation from the relay
 // name (see MeasureRelayGuarded), pinning each relay to the same
 // measurers across rounds so their pooled connections stay warm.
+//
+// Measurers are ranked by CapacityBps, not by residual capacity, for the
+// same reason: a concurrent slot's Commit lowers a measurer's residual,
+// and ranking by residual would let it outrank the relay's preferred
+// rotation and move the relay to another measurer. A measurer still gives
+// no more than its residual, so serial runs (residual = capacity) allocate
+// exactly as a residual ranking would.
 func AllocateGreedyFrom(team []*Measurer, needBps float64, prefer int, p Params) (Allocation, error) {
 	if needBps <= 0 {
 		return Allocation{}, fmt.Errorf("core: nonpositive capacity request %v", needBps)
@@ -91,15 +98,14 @@ func AllocateGreedyFrom(team []*Measurer, needBps float64, prefer int, p Params)
 	if prefer < 0 {
 		prefer += len(team)
 	}
-	// Order of consideration: most residual capacity first; ties broken
-	// by index rotated to the preferred start, for determinism. The
-	// stable insertion sort is sort.SliceStable's own algorithm at team
-	// sizes.
+	// Order of consideration: most capacity first; ties broken by index
+	// rotated to the preferred start, for determinism. The stable
+	// insertion sort is sort.SliceStable's own algorithm at team sizes.
 	for i := range team {
 		order = append(order, (prefer+i)%len(team))
 	}
 	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && residual[order[j]] > residual[order[j-1]]; j-- {
+		for j := i; j > 0 && team[order[j]].CapacityBps > team[order[j-1]].CapacityBps; j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}

@@ -25,8 +25,8 @@ func TestAllocateGreedySingleMeasurerSuffices(t *testing.T) {
 	if math.Abs(alloc.TotalBps-500e6) > 1 {
 		t.Fatalf("total: got %v want 500e6", alloc.TotalBps)
 	}
-	// Greedy assigns the measurer with the most residual capacity all that
-	// is needed — exactly one participant here.
+	// Greedy assigns the measurer with the most capacity all that is
+	// needed — exactly one participant here.
 	participants := 0
 	for _, a := range alloc.PerMeasurerBps {
 		if a > 0 {
@@ -68,6 +68,25 @@ func TestAllocateGreedyRespectsCommitted(t *testing.T) {
 	}
 	if alloc.PerMeasurerBps[0] > 0.1e9+1 {
 		t.Fatalf("measurer 0 over-allocated: %v", alloc.PerMeasurerBps[0])
+	}
+}
+
+// TestAllocateGreedyKeepsPreferredMeasurerUnderCommit pins a relay to its
+// preferred measurer while a concurrent slot holds part of that
+// measurer's capacity. The measurer still covers the need, so it keeps
+// the relay — and the relay keeps its pooled connection to it. Ranking by
+// residual capacity would move the relay to the idle member instead.
+func TestAllocateGreedyKeepsPreferredMeasurerUnderCommit(t *testing.T) {
+	team := []*Measurer{
+		{Name: "m0", CapacityBps: 1e9, Cores: 1},
+		{Name: "m1", CapacityBps: 1e9, Cores: 1, CommittedBps: 0.3e9},
+	}
+	alloc, err := AllocateGreedyFrom(team, 0.5e9, 1, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc.PerMeasurerBps[0] != 0 || alloc.PerMeasurerBps[1] != 0.5e9 {
+		t.Fatalf("per-measurer %v, want [0 5e8]: the preferred, partly committed measurer must keep the relay", alloc.PerMeasurerBps)
 	}
 }
 

@@ -201,8 +201,8 @@ func TestBandwidthFileViewOrder(t *testing.T) {
 }
 
 // TestAllocateGreedyOrderMatchesStableSort checks the in-place ordering
-// against sort.SliceStable on teams with tied, distinct and exhausted
-// residuals, for every preferred start.
+// against sort.SliceStable on teams with tied and distinct capacities and
+// partly or fully committed residuals, for every preferred start.
 func TestAllocateGreedyOrderMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := DefaultParams()
@@ -229,7 +229,8 @@ func TestAllocateGreedyOrderMatchesStableSort(t *testing.T) {
 }
 
 // allocateGreedyBySort is AllocateGreedyFrom's greedy fill ordered by
-// sort.SliceStable, as it was before the in-place insertion sort.
+// capacity with sort.SliceStable, as it was before the in-place insertion
+// sort.
 func allocateGreedyBySort(team []*Measurer, needBps float64, prefer int, p Params) (Allocation, error) {
 	var residualTotal float64
 	for _, m := range team {
@@ -248,7 +249,7 @@ func allocateGreedyBySort(team []*Measurer, needBps float64, prefer int, p Param
 		order[i] = (prefer + i) % len(team)
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return team[order[a]].ResidualBps() > team[order[b]].ResidualBps()
+		return team[order[a]].CapacityBps > team[order[b]].CapacityBps
 	})
 	remaining := needBps
 	for _, idx := range order {

@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"bytes"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"flashflow/internal/cell"
 )
@@ -90,23 +93,29 @@ func TestWriterGatherZeroAllocs(t *testing.T) {
 }
 
 // allocTestMux builds a muxState with nCirc live circuits for hot-path
-// guards, bypassing the handshake.
-func allocTestMux(t *testing.T, nCirc int) *muxState {
-	t.Helper()
+// guards and fuzz targets, bypassing the handshake. Circuit id is keyed
+// from testCircuitKeys(id).
+func allocTestMux(tb testing.TB, nCirc int) *muxState {
+	tb.Helper()
 	ms := &muxState{t: &Target{}}
 	for id := uint32(1); id <= uint32(nCirc); id++ {
-		circ, err := cell.NewCircuit(id, []byte("alloc"))
+		km := testCircuitKeys(id)
+		st, err := cell.NewCryptoState(km.ForwardKey, km.ForwardIV)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		ms.circuits.set(id, &circEntry{st: circ.Forward})
+		ms.circuits.set(id, st)
 	}
 	return ms
 }
 
+// testCircuitKeys is the key material allocTestMux gives circuit id.
+func testCircuitKeys(id uint32) cell.KeyMaterial {
+	return cell.DeriveKeys([]byte{'c', byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)})
+}
+
 // TestTargetEchoPathZeroAllocs covers serveMux's per-batch work: demux
-// into per-circuit spans (rotating IDs so the span set is rebuilt from
-// scratch every batch) followed by span-wise decryption.
+// with every data cell decrypted in place, over rotating circuit IDs.
 func TestTargetEchoPathZeroAllocs(t *testing.T) {
 	const nCirc = 8
 	ms := allocTestMux(t, nCirc)
@@ -114,23 +123,13 @@ func TestTargetEchoPathZeroAllocs(t *testing.T) {
 	for i := 0; i < cell.BatchCells; i++ {
 		cell.PutHeader(batch[i*cell.Size:], uint32(i%nCirc)+1, cell.MsmtData)
 	}
-	var spans spanSet
-	scratch := cell.NewSpanScratch()
-	// Warm-up: the span set's backing storage grows once, then is reused.
-	if _, err := ms.demuxTCP(batch, &spans); err != nil {
-		t.Fatal(err)
-	}
 	if n := testing.AllocsPerRun(100, func() {
-		dataCells, err := ms.demuxTCP(batch, &spans)
+		dataCells, err := ms.demuxTCP(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if dataCells != cell.BatchCells {
 			t.Fatalf("demuxed %d data cells, want %d", dataCells, cell.BatchCells)
-		}
-		for i := 0; i < spans.n; i++ {
-			sp := &spans.spans[i]
-			sp.st.ApplySpans(batch, sp.offs, scratch)
 		}
 	}); n != 0 {
 		t.Fatalf("target echo path: %v allocs per %d-cell batch, want 0", n, cell.BatchCells)
@@ -138,26 +137,18 @@ func TestTargetEchoPathZeroAllocs(t *testing.T) {
 }
 
 // TestUDPDatagramPathZeroAllocs covers the target's per-datagram work on
-// the UDP plane: demux, span decrypt, and the sequence/index stamping —
+// the UDP plane: demux, per-cell decrypt, and the sequence/index stamping —
 // everything serveUDPDatagram does between recvfrom and sendto.
 func TestUDPDatagramPathZeroAllocs(t *testing.T) {
 	const nCirc = 8
 	ms := allocTestMux(t, nCirc)
 	tgt := ms.t
 	dg := make([]byte, udpDatagramBytes)
-	scratch := cell.NewSpanScratch()
-	var spans spanSet
-	var seqs [udpDatagramCells]uint64
-	stamp := func() {
+	if n := testing.AllocsPerRun(100, func() {
 		for i := 0; i < udpDatagramCells; i++ {
 			cell.PutHeader(dg[i*cell.Size:], uint32(i%nCirc)+1, cell.MsmtData)
 		}
-	}
-	stamp()
-	tgt.serveUDPDatagram(ms, dg, &spans, scratch, &seqs) // warm span storage
-	if n := testing.AllocsPerRun(100, func() {
-		stamp()
-		if got := tgt.serveUDPDatagram(ms, dg, &spans, scratch, &seqs); got != udpDatagramCells {
+		if got := tgt.serveUDPDatagram(ms, dg); got != udpDatagramCells {
 			t.Fatalf("served %d data cells, want %d", got, udpDatagramCells)
 		}
 	}); n != 0 {
@@ -165,44 +156,44 @@ func TestUDPDatagramPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestReaderDecodePathZeroAllocs covers the measurer's echo reader:
-// batched refill through cellReader, per-cell header demux, deterministic
-// check sampling, and keystream verification of the sampled cells.
+// TestReaderDecodePathZeroAllocs covers the measurer's TCP echo reader,
+// echoReader.readTCP itself: batched refill through cellReader, per-cell
+// header demux, deterministic check sampling, keystream verification of
+// the sampled cells, and the per-second credit and window release. Each
+// run replays one batch of data cells followed by the circuit's MsmtEnd.
 func TestReaderDecodePathZeroAllocs(t *testing.T) {
-	km := cell.DeriveKeys([]byte("alloc"))
+	km := testCircuitKeys(1)
 	ks, err := cell.NewKeystream(km.ForwardKey, km.ForwardIV)
 	if err != nil {
 		t.Fatal(err)
 	}
-	circs := []*cell.Keystream{ks}
-	cr := newCellReader(newCellStream(), make([]byte, cell.SuperBytes))
-	threshold := checkThreshold(0.05)
-	var recvSeq uint64
-	var checked int
+	script := make([]byte, (cell.BatchCells+1)*cell.Size)
+	for i := 0; i < cell.BatchCells; i++ {
+		cell.PutHeader(script[i*cell.Size:], 1, cell.MsmtData)
+	}
+	cell.PutHeader(script[cell.BatchCells*cell.Size:], 1, cell.MsmtEnd)
+	src := bytes.NewReader(script)
+	cr := newCellReader(src, make([]byte, cell.SuperBytes))
+	var res MeasureResult
+	buckets := make([]atomic.Uint64, 1)
+	rd := newEchoReader([]*cell.Keystream{ks}, &res, buckets, time.Now(), newFlowWindow(maxWindowCells), 7, checkThreshold(0.05))
 	if n := testing.AllocsPerRun(100, func() {
-		for i := 0; i < cell.BatchCells; i++ {
-			cb, err := cr.next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cell.CommandOf(cb) != cell.MsmtData {
-				t.Fatal("unexpected command")
-			}
-			idx := int(cell.CircIDOf(cb)) - 1
-			seq := recvSeq
-			recvSeq++
-			if checkSampled(7, uint32(idx)+1, seq, threshold) {
-				checked++
-				// The synthetic stream is not a real echo, so the verify
-				// outcome is irrelevant — only its allocation behavior is
-				// under test.
-				_ = circs[idx].VerifyAt(cell.PayloadOf(cb), seq*cell.PayloadSize)
-			}
+		src.Reset(script)
+		if err := rd.readTCP(cr); err != nil {
+			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Fatalf("reader decode path: %v allocs per %d-cell batch, want 0", n, cell.BatchCells)
 	}
-	if checked == 0 {
+	if res.CellsChecked == 0 {
 		t.Fatal("check sampling never fired; the guard did not cover the verify path")
+	}
+	// The script's zero payloads are not a real echo, so every sampled
+	// cell must fail verification.
+	if !res.Failed {
+		t.Fatal("sampled cells with zero payloads passed verification")
+	}
+	if buckets[0].Load() == 0 {
+		t.Fatal("no echoed bytes credited")
 	}
 }

@@ -105,6 +105,58 @@ func TestServeMuxPoolDisciplineOnClientClose(t *testing.T) {
 	})
 }
 
+// TestMeasureSuperArenasPerMeasurement counts the super arenas one whole
+// measurement takes from the pool on each data plane, and checks every
+// one comes back. The measurer takes one refill arena for the control
+// stream and one arena for everything it writes (circuit creation, data,
+// teardown), plus a datagram read arena on the UDP plane; the target's
+// serveMux takes one, and its ServeUDP loop one more.
+func TestMeasureSuperArenasPerMeasurement(t *testing.T) {
+	for _, tc := range []struct {
+		mode string
+		want uint64
+	}{{"tcp", 2 + 1}, {"udp", 3 + 2}} {
+		t.Run(tc.mode, func(t *testing.T) {
+			before := cell.ReadPoolStats()
+			id, err := NewIdentity()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tgt := NewTarget(TargetConfig{})
+			tgt.Authorize(id.Pub)
+			ctrlClient, ctrlServer := net.Pipe()
+			go func() { _ = tgt.HandleConn(ctrlServer) }()
+			opts := udpMeasureOpts(id)
+			var dataClient net.Conn
+			if tc.mode == "udp" {
+				dcli, dsrv := newDgramPipe()
+				dataClient = dcli
+				go tgt.ServeUDP(dsrv)
+				opts.DialData = pipeDialer(dcli)
+			}
+			res, err := Measure(context.Background(), pipeDialer(ctrlClient), opts)
+			if err != nil {
+				t.Fatalf("Measure: %v", err)
+			}
+			if res.Failed || sumBytes(res.PerSecondBytes) == 0 {
+				t.Fatalf("measurement failed=%v bytes=%v", res.Failed, sumBytes(res.PerSecondBytes))
+			}
+			ctrlClient.Close()
+			if dataClient != nil {
+				dataClient.Close()
+			}
+			tgt.Close()
+			after := cell.ReadPoolStats()
+			if got := after.SuperGets - before.SuperGets; got != tc.want {
+				t.Fatalf("%d super arenas taken, want %d", got, tc.want)
+			}
+			if n := after.Outstanding(before); n != 0 {
+				t.Fatalf("%d super arenas outstanding", n)
+			}
+		})
+	}
+}
+
 // TestMeasureCancelPoolDiscipline cancels a measurement mid-slot on both
 // data planes and checks the measurer returned every pooled buffer — the
 // send loop's arena and the readers' refill arenas all have owners on the

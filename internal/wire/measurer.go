@@ -163,7 +163,7 @@ func Measure(ctx context.Context, dial Dialer, opts MeasureOptions) (MeasureResu
 		}()
 	}
 
-	res, err := measureConn(ctx, dial, opts, nCirc, start, buckets, seconds)
+	res, err := measureConn(ctx, dial, opts, nCirc, start, buckets)
 	close(done)
 	streamWG.Wait()
 
@@ -347,7 +347,7 @@ func (s *sender) write() error {
 }
 
 // measureConn drives one multiplexed measurement connection.
-func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc int, start time.Time, buckets []atomic.Uint64, seconds int) (MeasureResult, error) {
+func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc int, start time.Time, buckets []atomic.Uint64) (MeasureResult, error) {
 	var res MeasureResult
 	if err := ctx.Err(); err != nil {
 		return res, err
@@ -406,8 +406,12 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 	readBuf := cell.GetSuper()
 	defer cell.PutSuper(readBuf)
 	cr := newCellReader(conn, *readBuf)
+	// One arena carries every cell this goroutine writes: the MsmtCreate
+	// batches, the send loop's data and the MsmtEnd teardown, in turn.
+	arena := cell.GetSuper()
+	defer cell.PutSuper(arena)
 
-	circs, err := createCircuits(conn, cr, nCirc)
+	circs, err := createCircuits(conn, cr, nCirc, *arena)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return res, ctxErr
@@ -451,21 +455,19 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 		windowCap = maxWindowCells
 	}
 	window := newFlowWindow(windowCap)
-	threshold := checkThreshold(opts.CheckProb)
 
 	// Reader: demultiplex the echo stream by circuit ID, verifying sampled
 	// cells against each circuit's forward keystream. It owns
 	// res.CellsChecked/Failed until readerExit closes.
-	var stop atomic.Bool
-	var sentCells, received atomic.Int64
+	rd := newEchoReader(circs, &res, buckets, start, window, uint64(opts.Seed), checkThreshold(opts.CheckProb))
 	readerExit := make(chan struct{})
 	var readerErr error
 	go func() {
 		defer close(readerExit)
 		if udp {
-			readerErr = runEchoReaderUDP(dataConn, circs, &res, buckets, seconds, start, window, uint64(opts.Seed), threshold, &stop, &sentCells, &received)
+			readerErr = rd.readUDP(dataConn)
 		} else {
-			readerErr = runEchoReader(cr, circs, &res, buckets, seconds, start, window, uint64(opts.Seed), threshold)
+			readerErr = rd.readTCP(cr)
 		}
 	}()
 
@@ -489,8 +491,6 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 	if udp {
 		limit = udpDatagramCells
 	}
-	arena := cell.GetSuper()
-	defer cell.PutSuper(arena)
 	snd := newSender(dataW, &pace, *arena, batchCells(pace.quantumBits(), limit), nCirc, udp)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
@@ -514,7 +514,6 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 			return abort(readerErr)
 		}
 	}
-	sentCells.Store(snd.sent)
 	if err := ctx.Err(); err != nil {
 		return abort(err)
 	}
@@ -523,24 +522,21 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 		// MsmtEnd travels on the control plane, which can outrun in-flight
 		// datagrams on the data socket and tear circuits down under their
 		// own tail; drain the echo stream before ending.
-		waitUDPDrain(ctx, sentCells.Load(), &received)
+		waitUDPDrain(ctx, snd.sent, &rd.received)
 		if err := ctx.Err(); err != nil {
 			return abort(err)
 		}
 	}
 
 	// End every circuit and wait for the echo stream to drain.
-	endBuf := cell.GetSuper()
-	out := *endBuf
+	out := *arena
 	for i := 0; i < nCirc; i++ {
 		cb := out[i*cell.Size:]
 		cell.PutHeader(cb, uint32(i)+1, cell.MsmtEnd)
 		clear(cell.PayloadOf(cb))
 	}
-	_, werr := conn.Write(out[:nCirc*cell.Size])
-	cell.PutSuper(endBuf)
-	if werr != nil {
-		return abort(fmt.Errorf("send end: %w", werr))
+	if _, err := conn.Write(out[:nCirc*cell.Size]); err != nil {
+		return abort(fmt.Errorf("send end: %w", err))
 	}
 	if udp {
 		// The End echoes come back on the control stream, which the UDP
@@ -556,16 +552,16 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 				return abort(fmt.Errorf("wire: unexpected end echo %v", cmd))
 			}
 		}
-		sent := sentCells.Load()
-		stop.Store(true)
+		rd.sent = snd.sent
+		rd.stop.Store(true)
 		lingerUntil := time.Now()
-		if received.Load() < sent {
+		if rd.received.Load() < rd.sent {
 			lingerUntil = lingerUntil.Add(udpLingerGrace)
 		}
 		_ = dataConn.SetReadDeadline(lingerUntil)
 		<-readerExit
-		res.SentCells = sent
-		if lost := sent - received.Load(); lost > 0 {
+		res.SentCells = snd.sent
+		if lost := snd.sent - rd.received.Load(); lost > 0 {
 			res.LostCells = lost
 		}
 		if readerErr != nil {
@@ -602,15 +598,13 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 
 // createCircuits establishes nCirc measurement circuits in-band: one
 // MsmtCreate cell per circuit carrying a fresh X25519 public key, shipped
-// in batched writes and answered by the target's MsmtCreated rewrites. It
-// returns each circuit's forward keystream — the random-access view the
-// reader verifies sampled echoes against.
-func createCircuits(w io.Writer, cr *cellReader, nCirc int) ([]*cell.Keystream, error) {
+// in batched writes of up to SuperCells cells assembled in out (a super
+// arena the caller owns) and answered by the target's MsmtCreated
+// rewrites. It returns each circuit's forward keystream — the
+// random-access view the reader verifies sampled echoes against.
+func createCircuits(w io.Writer, cr *cellReader, nCirc int, out []byte) ([]*cell.Keystream, error) {
 	curve := ecdh.X25519()
 	privs := make([]*ecdh.PrivateKey, nCirc)
-	buf := cell.GetSuper()
-	defer cell.PutSuper(buf)
-	out := *buf
 	for sent := 0; sent < nCirc; {
 		n := min(cell.SuperCells, nCirc-sent)
 		for i := 0; i < n; i++ {
@@ -662,63 +656,103 @@ func createCircuits(w io.Writer, cr *cellReader, nCirc int) ([]*cell.Keystream, 
 	return ks, nil
 }
 
-// runEchoReader consumes the echo stream: large refills through
-// the cellReader, per-cell demux by circuit ID, per-batch byte accounting
-// and window release, and deterministic spot checks verified against each
-// circuit's forward keystream. Cells travel with zero payloads, so an
-// honest target's echo of circuit cell k is exactly the forward keystream
-// at offset k·PayloadSize — anything else (a target skipping its decrypt
-// work, §5) fails verification. It returns nil once every circuit's
-// MsmtEnd echo arrived.
-func runEchoReader(cr *cellReader, circs []*cell.Keystream, res *MeasureResult, buckets []atomic.Uint64, seconds int, start time.Time, window *flowWindow, seed, threshold uint64) error {
-	nCirc := len(circs)
-	recvSeq := make([]uint64, nCirc)
-	remaining := nCirc
-	account := func(data int) {
-		idx := int(time.Since(start) / time.Second)
-		if idx >= 0 && idx < seconds {
-			buckets[idx].Add(uint64(data) * cell.Size)
-		}
-		window.release(int64(data))
+// echoReader is one measurement's echo verifier: the state both data
+// planes' read loops share. Cells travel with zero payloads, so an honest
+// target's echo of circuit cell k is exactly the forward keystream at
+// offset k·PayloadSize — anything else (a target skipping its decrypt
+// work, §5) fails verification. The reader goroutine owns next and res's
+// check fields until it exits; sent is written by the sender before it
+// sets stop, and read by the reader only after it sees stop.
+type echoReader struct {
+	circs     []*cell.Keystream
+	next      []uint64 // per circuit: the next send sequence expected
+	res       *MeasureResult
+	buckets   []atomic.Uint64
+	start     time.Time
+	window    *flowWindow
+	seed      uint64
+	threshold uint64
+
+	// Datagram plane only: received counts the data cells echoed so far;
+	// the sender sets sent and then stop once the MsmtEnd exchange on the
+	// control plane completes.
+	received atomic.Int64
+	sent     int64
+	stop     atomic.Bool
+}
+
+func newEchoReader(circs []*cell.Keystream, res *MeasureResult, buckets []atomic.Uint64, start time.Time, window *flowWindow, seed, threshold uint64) *echoReader {
+	return &echoReader{circs: circs, next: make([]uint64, len(circs)), res: res, buckets: buckets,
+		start: start, window: window, seed: seed, threshold: threshold}
+}
+
+// circuit returns the 0-based index of the circuit an echoed cell belongs
+// to, rejecting IDs this measurement never created.
+func (r *echoReader) circuit(cb []byte) (int, error) {
+	idx := int(cell.CircIDOf(cb)) - 1
+	if idx < 0 || idx >= len(r.circs) {
+		return 0, fmt.Errorf("wire: echo for unknown circuit %d", idx+1)
 	}
+	return idx, nil
+}
+
+// check spot-checks one echoed data cell with probability p (§4.1): the
+// sampling decision is a hash of (seed, circuit, seq), and a sampled
+// payload must equal the circuit's forward keystream at byte offset off.
+func (r *echoReader) check(idx int, seq uint64, payload []byte, off uint64) {
+	if r.threshold > 0 && checkSampled(r.seed, uint32(idx)+1, seq, r.threshold) {
+		r.res.CellsChecked++
+		if !r.circs[idx].VerifyAt(payload, off) {
+			r.res.Failed = true
+		}
+	}
+}
+
+// credit books n echoed data cells into the current second's bucket.
+func (r *echoReader) credit(n int) {
+	idx := int(time.Since(r.start) / time.Second)
+	if idx >= 0 && idx < len(r.buckets) {
+		r.buckets[idx].Add(uint64(n) * cell.Size)
+	}
+}
+
+// readTCP consumes the TCP echo stream: large refills through the
+// cellReader and per-cell demux by circuit ID. The stream is in order, so
+// a cell's sequence is its position on its circuit; window credit returns
+// once per batch. It returns nil once every circuit's MsmtEnd echo
+// arrived.
+func (r *echoReader) readTCP(cr *cellReader) error {
+	remaining := len(r.circs)
 	for {
 		batch, err := cr.nextBatch()
 		if err != nil {
 			return fmt.Errorf("read echo: %w", err)
 		}
-		k := len(batch) / cell.Size
 		data := 0
-		for i := 0; i < k; i++ {
-			cb := batch[i*cell.Size : (i+1)*cell.Size]
-			idx := int(cell.CircIDOf(cb)) - 1
+		for off := 0; off < len(batch) && remaining > 0; off += cell.Size {
+			cb := batch[off : off+cell.Size]
 			switch cmd := cell.CommandOf(cb); cmd {
 			case cell.MsmtData:
-				if idx < 0 || idx >= nCirc {
-					return fmt.Errorf("wire: echo for unknown circuit %d", idx+1)
+				idx, err := r.circuit(cb)
+				if err != nil {
+					return err
 				}
-				seq := recvSeq[idx]
-				recvSeq[idx]++
+				seq := r.next[idx]
+				r.next[idx]++
 				data++
-				if threshold > 0 && checkSampled(seed, uint32(idx)+1, seq, threshold) {
-					res.CellsChecked++
-					if !circs[idx].VerifyAt(cell.PayloadOf(cb), seq*cell.PayloadSize) {
-						res.Failed = true
-					}
-				}
+				r.check(idx, seq, cell.PayloadOf(cb), seq*cell.PayloadSize)
 			case cell.MsmtEnd:
 				remaining--
-				if remaining == 0 {
-					if data > 0 {
-						account(data)
-					}
-					return nil
-				}
 			default:
 				return fmt.Errorf("wire: unexpected echo cell %v", cmd)
 			}
 		}
 		if data > 0 {
-			account(data)
+			r.credit(data)
+			r.window.release(int64(data))
+		}
+		if remaining == 0 {
+			return nil
 		}
 	}
 }

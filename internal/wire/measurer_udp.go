@@ -109,29 +109,27 @@ func waitUDPDrain(ctx context.Context, sent int64, received *atomic.Int64) {
 	}
 }
 
-// runEchoReaderUDP consumes the datagram echo stream. Unlike the TCP
-// reader it cannot treat the stream as an in-order sequence: each data
-// cell carries its own send sequence (payload[0:8], plaintext) and the
-// target's decrypt index (payload[8:16]), so verification uses the
-// target's index — correct under loss and reordering — while the send
-// sequence drives flow control and loss accounting. A sequence jumping
-// past the expected value releases the gap too: those cells are lost (or
-// still in flight; a reordered straggler then arrives below its circuit's
-// watermark and is counted without a second release).
+// readUDP consumes the datagram echo stream. Unlike the TCP stream it is
+// not an in-order sequence: each data cell carries its own send sequence
+// (payload[0:8], plaintext) and the target's decrypt index (payload[8:16]),
+// so verification uses the target's index — correct under loss and
+// reordering — while the send sequence drives flow control and loss
+// accounting. A sequence jumping past the expected value releases the gap
+// too: those cells are lost (or still in flight; a reordered straggler
+// then arrives below its circuit's watermark and is counted without a
+// second release).
 //
-// Termination: the main goroutine sets stop once the MsmtEnd exchange on
-// the control plane completes and arms a read deadline; the reader exits
-// when every sent cell is accounted for or the deadline expires.
-func runEchoReaderUDP(data net.Conn, circs []*cell.Keystream, res *MeasureResult, buckets []atomic.Uint64, seconds int, start time.Time, window *flowWindow, seed, threshold uint64, stop *atomic.Bool, sent, received *atomic.Int64) error {
-	nCirc := len(circs)
-	expected := make([]uint64, nCirc)
+// Termination: the sender sets stop once the MsmtEnd exchange on the
+// control plane completes and arms a read deadline; the reader exits when
+// every sent cell is accounted for or the deadline expires.
+func (r *echoReader) readUDP(data net.Conn) error {
 	buf := cell.GetSuper()
 	defer cell.PutSuper(buf)
 	dg := (*buf)[:udpDatagramBytes]
 	for {
 		n, err := data.Read(dg)
 		if err != nil {
-			if stop.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
+			if r.stop.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
 				return nil
 			}
 			return fmt.Errorf("read echo: %w", err)
@@ -139,30 +137,23 @@ func runEchoReaderUDP(data net.Conn, circs []*cell.Keystream, res *MeasureResult
 		if n == 0 || n%cell.Size != 0 {
 			continue // duplicate hello ack or stray datagram
 		}
-		k := n / cell.Size
 		dataCells := 0
-		for i := 0; i < k; i++ {
-			cb := dg[i*cell.Size : (i+1)*cell.Size]
-			idx := int(cell.CircIDOf(cb)) - 1
+		for off := 0; off < n; off += cell.Size {
+			cb := dg[off : off+cell.Size]
 			switch cmd := cell.CommandOf(cb); cmd {
 			case cell.MsmtData:
-				if idx < 0 || idx >= nCirc {
-					return fmt.Errorf("wire: echo for unknown circuit %d", idx+1)
+				idx, err := r.circuit(cb)
+				if err != nil {
+					return err
 				}
 				dataCells++
 				p := cell.PayloadOf(cb)
-				s := binary.BigEndian.Uint64(p[0:8])
-				e := binary.BigEndian.Uint64(p[8:16])
-				if s >= expected[idx] {
-					window.release(int64(s - expected[idx] + 1))
-					expected[idx] = s + 1
+				seq := binary.BigEndian.Uint64(p[0:8])
+				if seq >= r.next[idx] {
+					r.window.release(int64(seq - r.next[idx] + 1))
+					r.next[idx] = seq + 1
 				}
-				if threshold > 0 && checkSampled(seed, uint32(idx)+1, s, threshold) {
-					res.CellsChecked++
-					if !circs[idx].VerifyAt(p[16:], e*cell.PayloadSize+16) {
-						res.Failed = true
-					}
-				}
+				r.check(idx, seq, p[16:], binary.BigEndian.Uint64(p[8:16])*cell.PayloadSize+16)
 			case cell.Padding:
 				// The target's "drop": a cell it could not serve rides back
 				// rewritten. Not measurement data, not an error.
@@ -171,13 +162,10 @@ func runEchoReaderUDP(data net.Conn, circs []*cell.Keystream, res *MeasureResult
 			}
 		}
 		if dataCells > 0 {
-			idx := int(time.Since(start) / time.Second)
-			if idx >= 0 && idx < seconds {
-				buckets[idx].Add(uint64(dataCells) * cell.Size)
-			}
-			received.Add(int64(dataCells))
+			r.credit(dataCells)
+			r.received.Add(int64(dataCells))
 		}
-		if stop.Load() && received.Load() >= sent.Load() {
+		if r.stop.Load() && r.received.Load() >= r.sent {
 			return nil
 		}
 	}

@@ -32,7 +32,7 @@ func dialMuxClient(t *testing.T, addr string, id Identity, nCirc int) *muxClient
 		t.Fatalf("authenticate: %v", err)
 	}
 	cr := newCellReader(conn, make([]byte, cell.SuperBytes))
-	ks, err := createCircuits(conn, cr, nCirc)
+	ks, err := createCircuits(conn, cr, nCirc, make([]byte, cell.SuperBytes))
 	if err != nil {
 		t.Fatalf("create circuits: %v", err)
 	}

@@ -100,7 +100,7 @@ func TestTargetHandlesAbruptDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	cr := newCellReader(conn, make([]byte, cell.BatchBytes))
-	if _, err := createCircuits(conn, cr, 1); err != nil {
+	if _, err := createCircuits(conn, cr, 1, make([]byte, cell.SuperBytes)); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]byte, cell.Size)

@@ -183,20 +183,20 @@ const maxConnCircuits = 1024
 // errTooManyCircuits reports a connection exceeding maxConnCircuits.
 var errTooManyCircuits = errors.New("wire: too many circuits on one connection")
 
-// circTable maps live circuit IDs to their demux entries (crypto state
-// and span marks). The measurer allocates IDs densely from 1,
-// so the fast path is an array index; sparse IDs fall back to a map.
-// Lookup cost matters: the demux loop consults it once per data cell.
+// circTable maps live circuit IDs to their forward crypto states. The
+// measurer allocates IDs densely from 1, so the fast path is an array
+// index; sparse IDs fall back to a map. Lookup cost matters: the demux
+// loop consults it once per data cell.
 type circTable struct {
-	dense  []*circEntry
-	sparse map[uint32]*circEntry
+	dense  []*cell.CryptoState
+	sparse map[uint32]*cell.CryptoState
 	n      int
 }
 
 // denseCircuits is the ID range served by the array fast path.
 const denseCircuits = 512
 
-func (ct *circTable) get(id uint32) *circEntry {
+func (ct *circTable) get(id uint32) *cell.CryptoState {
 	if id < denseCircuits {
 		if int(id) < len(ct.dense) {
 			return ct.dense[id]
@@ -206,7 +206,7 @@ func (ct *circTable) get(id uint32) *circEntry {
 	return ct.sparse[id]
 }
 
-func (ct *circTable) set(id uint32, e *circEntry) {
+func (ct *circTable) set(id uint32, st *cell.CryptoState) {
 	if id < denseCircuits {
 		for int(id) >= len(ct.dense) {
 			ct.dense = append(ct.dense, nil)
@@ -214,16 +214,16 @@ func (ct *circTable) set(id uint32, e *circEntry) {
 		if ct.dense[id] == nil {
 			ct.n++
 		}
-		ct.dense[id] = e
+		ct.dense[id] = st
 		return
 	}
 	if ct.sparse == nil {
-		ct.sparse = make(map[uint32]*circEntry)
+		ct.sparse = make(map[uint32]*cell.CryptoState)
 	}
 	if ct.sparse[id] == nil {
 		ct.n++
 	}
-	ct.sparse[id] = e
+	ct.sparse[id] = st
 }
 
 func (ct *circTable) del(id uint32) {
@@ -285,12 +285,12 @@ func (t *Target) echoBatch(w io.Writer, batch []byte, dataCells, chunkBytes int)
 // serveMux is the relay's hot path: one loop on the connection's own
 // goroutine serves every circuit of the connection, allocation-free in
 // steady state. Each pass is refill (one large Read for up to SuperCells
-// cells into a pooled super arena), demux (route each cell by circuit ID,
-// grouping data cells into per-circuit spans and handling control cells
-// inline), and decrypt (one fat ApplySpans cipher call per span — §4.1's
-// requirement that the relay do its real per-cell crypto work); then the
-// whole batch is echoed with paced writes. A circuit's sequential CTR state
-// thus has one owner and the echo leaves in stream order.
+// cells into a pooled super arena) and demux (route each cell by circuit
+// ID, decrypting each data cell in place — §4.1's requirement that the
+// relay do its real per-cell crypto work — and handling control cells
+// inline); then the whole batch is echoed with paced writes. A circuit's
+// sequential CTR state thus has one owner and the echo leaves in stream
+// order.
 //
 // Control cells ride the same stream: MsmtCreate is answered by rewriting
 // the cell in place into MsmtCreated (the X25519 answer key replaces the
@@ -306,8 +306,6 @@ func (t *Target) serveMux(conn net.Conn, pub ed25519.PublicKey) error {
 	buf := cell.GetSuper()
 	defer cell.PutSuper(buf)
 	cr := newCellReader(conn, *buf)
-	var spans spanSet
-	scratch := cell.NewSpanScratch()
 	chunkBytes := t.echoChunkBytes(len(*buf))
 	for {
 		batch, err := cr.nextBatch()
@@ -317,15 +315,9 @@ func (t *Target) serveMux(conn net.Conn, pub ed25519.PublicKey) error {
 			}
 			return fmt.Errorf("target read: %w", err)
 		}
-		dataCells, err := ms.demuxTCP(batch, &spans)
+		dataCells, err := ms.demuxTCP(batch)
 		if err != nil {
 			return err
-		}
-		if !t.cfg.Corrupt {
-			for i := 0; i < spans.n; i++ {
-				sp := &spans.spans[i]
-				sp.st.ApplySpans(batch, sp.offs, scratch)
-			}
 		}
 		if err := t.echoBatch(conn, batch, dataCells, chunkBytes); err != nil {
 			return err
@@ -354,13 +346,14 @@ func createCircuitCell(cb []byte) (*cell.CryptoState, error) {
 		return nil, fmt.Errorf("target: circuit ecdh: %w", err)
 	}
 	secret := sha256.Sum256(shared)
-	circ, err := cell.NewCircuit(cell.CircIDOf(cb), secret[:])
+	km := cell.DeriveKeys(secret[:])
+	st, err := cell.NewCryptoState(km.ForwardKey, km.ForwardIV)
 	if err != nil {
 		return nil, err
 	}
 	cb[4] = byte(cell.MsmtCreated)
 	copy(p[:32], priv.PublicKey().Bytes())
-	return circ.Forward, nil
+	return st, nil
 }
 
 // secondCounter accumulates bytes into wall-clock second buckets.

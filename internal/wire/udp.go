@@ -185,8 +185,8 @@ func (t *Target) unbindUDP(ms *muxState) {
 
 // ServeUDP serves the datagram data plane on pc until pc's reads fail
 // (close pc to stop). One loop serves every bound session: each datagram
-// is demuxed under its connection's lock, decrypted span-wise with this
-// loop's scratch, stamped, paced, and echoed to the source address.
+// is demuxed, decrypted cell by cell and stamped under its connection's
+// lock, then paced and echoed to the source address.
 // Datagrams that match no session or no circuit are dropped per the loss
 // semantics above. Run one ServeUDP loop per listener; a target typically
 // has one. Close waits for the loop, so close pc first; a ServeUDP called
@@ -205,9 +205,6 @@ func (t *Target) ServeUDP(pc DatagramConn) {
 	arena := cell.GetSuper()
 	defer cell.PutSuper(arena)
 	buf := (*arena)[:cell.SuperBytes]
-	scratch := cell.NewSpanScratch()
-	var spans spanSet
-	var seqs [udpDatagramCells]uint64
 	var lastAddr netip.AddrPort
 	var lastSess *udpSession
 	for {
@@ -236,7 +233,7 @@ func (t *Target) ServeUDP(pc DatagramConn) {
 			lastAddr, lastSess = src, sess
 		}
 		dg := buf[:n]
-		dataCells := t.serveUDPDatagram(sess.ms, dg, &spans, scratch, &seqs)
+		dataCells := t.serveUDPDatagram(sess.ms, dg)
 		if dataCells == 0 {
 			continue // nothing decryptable: don't echo pure noise
 		}
@@ -255,52 +252,34 @@ func (t *Target) ServeUDP(pc DatagramConn) {
 // that cannot be served (unknown circuit, non-data command) are rewritten
 // to Padding so the echo carries them harmlessly.
 //
-// Stamping: for each span, the pre-decrypt payload[0:8] (the measurer's
-// send sequence, which the decrypt would garble) is saved and restored as
+// Stamping: each data cell's pre-decrypt payload[0:8] (the measurer's send
+// sequence, which the decrypt would garble) is saved and restored as
 // plaintext, and payload[8:16] is overwritten with the target's own
 // per-circuit decrypt index — the offset the measurer verifies the
 // remaining 493 bytes against. The §4.1 crypto work is untouched: the
 // sequential CTR state advances one full payload per cell, identical to
 // the TCP plane.
-func (t *Target) serveUDPDatagram(ms *muxState, dg []byte, spans *spanSet, scratch *cell.SpanScratch, seqs *[udpDatagramCells]uint64) int {
+func (t *Target) serveUDPDatagram(ms *muxState, dg []byte) int {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	ms.udpEpoch++
-	spans.plane = planeUDP
-	spans.reset(ms.udpEpoch)
 	dataCells := 0
-	k := len(dg) / cell.Size
-	for i := 0; i < k; i++ {
-		off := i * cell.Size
+	for off := 0; off+cell.Size <= len(dg); off += cell.Size {
 		cb := dg[off : off+cell.Size]
-		if cell.CommandOf(cb) != cell.MsmtData {
+		var st *cell.CryptoState
+		if cell.CommandOf(cb) == cell.MsmtData {
+			st = ms.circuits.get(cell.CircIDOf(cb))
+		}
+		if st == nil {
 			cb[4] = byte(cell.Padding)
 			continue
 		}
-		e := ms.circuits.get(cell.CircIDOf(cb))
-		if e == nil {
-			cb[4] = byte(cell.Padding)
-			continue
-		}
-		spans.add(e, int32(off))
+		p := cell.PayloadOf(cb)
+		seq := binary.BigEndian.Uint64(p[0:8])
+		idx := st.Processed()
+		t.decrypt(st, p)
+		binary.BigEndian.PutUint64(p[0:8], seq)
+		binary.BigEndian.PutUint64(p[8:16], idx)
 		dataCells++
-	}
-	if t.cfg.Corrupt {
-		// Forged echo (§5): payloads go back untouched — the measurer's
-		// keystream checks fail exactly as on the TCP plane.
-		return dataCells
-	}
-	for i := 0; i < spans.n; i++ {
-		sp := &spans.spans[i]
-		base := sp.st.Processed()
-		for j, off := range sp.offs {
-			seqs[j] = binary.BigEndian.Uint64(dg[off+5 : off+13])
-		}
-		sp.st.ApplySpans(dg, sp.offs, scratch)
-		for j, off := range sp.offs {
-			binary.BigEndian.PutUint64(dg[off+5:off+13], seqs[j])
-			binary.BigEndian.PutUint64(dg[off+13:off+21], base+uint64(j))
-		}
 	}
 	return dataCells
 }

@@ -1,131 +1,86 @@
 package main
 
-// coordd's -dirauth mode: instead of measuring, the process runs the
-// directory-authority side of the distributed control plane — an
-// authenticated RPC listener accepting signed v3bw submissions from
-// cmd/bwauthd processes, the internal/dirauth merge service folding the
-// fresh views into a median-of-views bandwidth file, the observability
-// plane serving the merged /v3bw plus /dirauth status, and (with
-// -state-dir) the durable store persisting each accepted submission so
-// a restarted merge node recovers its freshness windows and merged
-// output without waiting for every BWAuth to resubmit.
-
 import (
 	"context"
 	"crypto/ed25519"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"time"
 
 	"flashflow/internal/dirauth"
-	"flashflow/internal/metrics"
 	"flashflow/internal/obs"
 	"flashflow/internal/rpc"
 	"flashflow/internal/store"
 )
 
-// dirauthOptions carries the -dirauth mode's flag values out of run().
-type dirauthOptions struct {
-	rpcAddr    string
-	bwauths    string
-	authSecret string
-	freshFor   time.Duration
-	minViews   int
-	producer   string
-	httpAddr   string
-	stateDir   string
-	noPersist  bool
-	ckptEvery  int
+// mergeNode is the -dirauth role: the merge service, its RPC listener
+// and the durable record of the accepted submissions that lets a restart
+// recover its views and merged output before any BWAuth resubmits.
+type mergeNode struct {
+	d    *daemon
+	svc  *dirauth.MergeService
+	rpc  *rpc.Server
+	addr net.Addr // the bound RPC address
+
+	// mu guards state and accepts.
+	mu      sync.Mutex
+	state   *store.State
+	accepts int
 }
 
-// runDirauth is the -dirauth mode main loop: build the merge service
-// (recovering persisted views first), serve RPC submissions until the
-// context is cancelled, then drain and checkpoint.
-func runDirauth(ctx context.Context, log *logger, o dirauthOptions) error {
-	names := strings.Split(o.bwauths, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
+// runMergeNode serves RPC submissions until ctx is cancelled.
+func runMergeNode(ctx context.Context, d *daemon) error {
+	n, err := newMergeNode(d)
+	if err != nil {
+		return err
 	}
-	if o.authSecret == "" {
-		return fmt.Errorf("coordd: -dirauth needs -auth-secret to derive the registered BWAuth keys")
+	defer n.rpc.Close()
+	loop := func(ctx context.Context) error {
+		<-ctx.Done()
+		return nil
 	}
+	return d.serve(ctx, obs.Config{Merge: n.svc}, "/metrics /dirauth /v3bw", loop, func(context.Context) { n.close() })
+}
+
+// newMergeNode builds the merge service, recovers the persisted views
+// and merges them (so /v3bw serves the pre-restart file before any
+// BWAuth resubmits), then opens the RPC listener on -rpc-addr.
+func newMergeNode(d *daemon) (*mergeNode, error) {
+	o, log := d.o, d.log
 	// Demo key management (see OPERATIONS.md): both sides derive each
 	// BWAuth's keypair from the shared secret and the BWAuth's name. A
 	// production deployment registers real per-BWAuth public keys here
 	// and never holds their private halves.
-	keys := make(map[string]ed25519.PublicKey, len(names))
-	authorized := make([]ed25519.PublicKey, 0, len(names))
-	for _, n := range names {
-		if n == "" {
-			return fmt.Errorf("coordd: empty BWAuth name in -bwauths %q", o.bwauths)
-		}
-		id := rpc.DeriveIdentity(o.authSecret, n)
-		keys[n] = id.Pub
+	keys := make(map[string]ed25519.PublicKey, len(o.bwauths))
+	authorized := make([]ed25519.PublicKey, 0, len(o.bwauths))
+	for _, name := range o.bwauths {
+		id := rpc.DeriveIdentity(o.authSecret, name)
+		keys[name] = id.Pub
 		authorized = append(authorized, id.Pub)
 	}
 
-	counters := metrics.NewCounters()
-	snapshot := &obs.SnapshotHolder{}
-
-	// Durable state: each accepted submission is WAL-appended, and a full
-	// checkpoint is taken every -checkpoint-every "rounds" of submissions
-	// (len(names) accepts). stateMu guards the state struct; the store
-	// serializes its own file access.
-	var durable store.Store
-	state := store.NewState()
-	if o.stateDir != "" && !o.noPersist {
-		fs, err := store.Open(o.stateDir, store.Options{})
-		if err != nil {
-			return fmt.Errorf("coordd: open state dir: %w", err)
-		}
-		defer fs.Close()
-		durable = fs
-		if state, err = fs.Load(); err != nil {
-			return fmt.Errorf("coordd: load state: %w", err)
+	n := &mergeNode{d: d, state: store.NewState()}
+	var err error
+	if d.store != nil {
+		if n.state, err = d.store.Load(); err != nil {
+			return nil, fmt.Errorf("coordd: load state: %w", err)
 		}
 	}
-	var stateMu sync.Mutex
-	accepts := 0
-	ckptAccepts := o.ckptEvery * len(names)
-
-	svc, err := dirauth.NewMergeService(dirauth.MergeConfig{
+	n.svc, err = dirauth.NewMergeService(dirauth.MergeConfig{
 		Keys:     keys,
 		FreshFor: o.freshFor,
 		MinViews: o.minViews,
 		Producer: o.producer,
-		Counters: counters,
-		OnAccept: func(v dirauth.View) {
-			log.event("submission",
-				fmt.Sprintf("submission: %s round %d (%d bytes)", v.BWAuth, v.Round, len(v.Body)),
-				"bwauth", v.BWAuth, "round", v.Round, "bytes", len(v.Body))
-			stateMu.Lock()
-			defer stateMu.Unlock()
-			state.Submissions[v.BWAuth] = store.SubmissionRecord{
-				Round: v.Round, Version: v.Version, Unix: v.Received.Unix(),
-				Body: append([]byte(nil), v.Body...),
-			}
-			if durable == nil {
-				return
-			}
-			if err := durable.Append(store.Record{
-				Kind: store.KindSubmission, Relay: v.BWAuth, Round: v.Round,
-				Version: v.Version, Unix: v.Received.Unix(), Body: v.Body,
-			}); err != nil {
-				log.event("store_error", "  store append: "+err.Error(), "error", err.Error())
-			}
-			accepts++
-			if ckptAccepts > 0 && accepts%ckptAccepts == 0 {
-				if err := durable.Checkpoint(state); err != nil {
-					log.event("store_error", "  store checkpoint: "+err.Error(), "error", err.Error())
-				}
-			}
-		},
+		Counters: d.counters,
+		// Receipt times are stamped at the store's resolution (whole
+		// seconds), so a restarted node's views, freshness windows and
+		// /dirauth state equal the ones it persisted.
+		Now:      func() time.Time { return time.Now().Truncate(time.Second) },
+		OnAccept: n.accept,
 		OnMerge: func(m dirauth.Merged) {
-			if err := snapshot.Publish(m.Round, m.File, time.Now()); err != nil {
-				log.event("snapshot_error", "  merged snapshot render: "+err.Error(),
-					"round", m.Round, "error", err.Error())
-			}
+			d.publish(m.Round, m.File)
 			human := fmt.Sprintf("merge: round %d from %d views (%s), %d relays",
 				m.Round, len(m.Views), strings.Join(m.Views, ","), len(m.File.Entries))
 			if len(m.SplitView) > 0 {
@@ -137,87 +92,108 @@ func runDirauth(ctx context.Context, log *logger, o dirauthOptions) error {
 		},
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// Recover persisted views: freshness windows resume from the original
 	// receipt times, and a merge (if enough views are still fresh)
 	// republishes /v3bw before the listener even opens.
-	if len(state.Submissions) > 0 {
-		for name, sub := range state.Submissions {
-			if err := svc.Restore(name, sub.Round, sub.Version, sub.Body, time.Unix(sub.Unix, 0)); err != nil {
+	if len(n.state.Submissions) > 0 {
+		for name, sub := range n.state.Submissions {
+			if err := n.svc.Restore(name, sub.Round, sub.Version, sub.Body, time.Unix(sub.Unix, 0)); err != nil {
 				log.event("recover_error", "coordd: restore submission: "+err.Error(),
 					"bwauth", name, "error", err.Error())
 			}
 		}
 		log.event("recover",
-			fmt.Sprintf("coordd: recovered %d persisted submission(s) from %s", len(state.Submissions), o.stateDir),
-			"state_dir", o.stateDir, "submissions", len(state.Submissions))
-		if _, err := svc.Remerge(); err != nil {
+			fmt.Sprintf("coordd: recovered %d persisted submission(s) from %s", len(n.state.Submissions), o.stateDir),
+			"state_dir", o.stateDir, "submissions", len(n.state.Submissions))
+		if _, err := n.svc.Remerge(); err != nil {
 			log.event("recover", "coordd: no merge from recovered views: "+err.Error(), "error", err.Error())
 		}
 	}
 
-	srv, err := rpc.NewServer(rpc.ServerConfig{
+	n.rpc, err = rpc.NewServer(rpc.ServerConfig{
 		Authorized:    authorized,
-		Counters:      counters,
+		Counters:      d.counters,
 		CounterPrefix: "dirauth_rpc",
-		Handler: func(peer ed25519.PublicKey, method uint8, body []byte) ([]byte, error) {
-			if method != rpc.MethodSubmitV3BW {
-				return nil, fmt.Errorf("unknown method %d", method)
-			}
-			sub, err := dirauth.DecodeSubmission(body)
-			if err != nil {
-				return nil, err
-			}
-			merged, err := svc.Submit(sub)
-			if err != nil {
-				return nil, err
-			}
-			if merged == nil {
-				return fmt.Appendf(nil, "accepted %s round %d; awaiting more views", sub.BWAuth, sub.Round), nil
-			}
-			return fmt.Appendf(nil, "accepted %s round %d; merged round %d over %d views",
-				sub.BWAuth, sub.Round, merged.Round, len(merged.Views)), nil
-		},
+		Handler:       n.handle,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	addr, err := srv.Start(o.rpcAddr)
+	if n.addr, err = n.rpc.Start(o.rpcAddr); err != nil {
+		return nil, fmt.Errorf("coordd: rpc listener: %w", err)
+	}
+	log.event("rpc", fmt.Sprintf("dirauth: rpc on %s, registered bwauths: %s", n.addr, strings.Join(o.bwauths, ",")),
+		"addr", n.addr.String(), "bwauths", o.bwauths)
+	return n, nil
+}
+
+// handle is the RPC handler: one signed submission per call.
+func (n *mergeNode) handle(_ ed25519.PublicKey, method uint8, body []byte) ([]byte, error) {
+	if method != rpc.MethodSubmitV3BW {
+		return nil, fmt.Errorf("unknown method %d", method)
+	}
+	sub, err := dirauth.DecodeSubmission(body)
 	if err != nil {
-		return fmt.Errorf("coordd: rpc listener: %w", err)
+		return nil, err
 	}
-	log.event("rpc", fmt.Sprintf("dirauth: rpc on %s, registered bwauths: %s", addr, strings.Join(names, ",")),
-		"addr", addr.String(), "bwauths", names)
+	merged, err := n.svc.Submit(sub)
+	if err != nil {
+		return nil, err
+	}
+	if merged == nil {
+		return fmt.Appendf(nil, "accepted %s round %d; awaiting more views", sub.BWAuth, sub.Round), nil
+	}
+	return fmt.Appendf(nil, "accepted %s round %d; merged round %d over %d views",
+		sub.BWAuth, sub.Round, merged.Round, len(merged.Views)), nil
+}
 
-	obsSrv := obs.NewServer(obs.Config{Counters: counters, Snapshot: snapshot, Merge: svc})
-	if o.httpAddr != "" {
-		haddr, err := obsSrv.Start(o.httpAddr)
-		if err != nil {
-			return fmt.Errorf("coordd: observability server: %w", err)
-		}
-		log.event("http", fmt.Sprintf("observability: http://%s (/metrics /dirauth /v3bw)", haddr),
-			"addr", haddr.String())
+// accept records one accepted submission in the checkpointed state and
+// the WAL, checkpointing every -checkpoint-every "rounds" of submissions
+// (len(-bwauths) accepts each).
+func (n *mergeNode) accept(v dirauth.View) {
+	log := n.d.log
+	log.event("submission",
+		fmt.Sprintf("submission: %s round %d (%d bytes)", v.BWAuth, v.Round, len(v.Body)),
+		"bwauth", v.BWAuth, "round", v.Round, "bytes", len(v.Body))
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.state.Submissions[v.BWAuth] = store.SubmissionRecord{
+		Round: v.Round, Version: v.Version, Unix: v.Received.Unix(),
+		Body: append([]byte(nil), v.Body...),
 	}
+	if n.d.store == nil {
+		return
+	}
+	if err := n.d.store.Append(store.Record{
+		Kind: store.KindSubmission, Relay: v.BWAuth, Round: v.Round,
+		Version: v.Version, Unix: v.Received.Unix(), Body: v.Body,
+	}); err != nil {
+		log.event("store_error", "  store append: "+err.Error(), "error", err.Error())
+	}
+	n.accepts++
+	if every := n.d.o.ckptEvery * len(n.d.o.bwauths); every > 0 && n.accepts%every == 0 {
+		n.checkpointLocked()
+	}
+}
 
-	<-ctx.Done()
-	log.event("shutdown", "coordd: dirauth mode interrupted — draining")
-	srv.Close()
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainBudget)
-	if err := obsSrv.Shutdown(drainCtx); err != nil {
-		log.event("shutdown_error", "coordd: http drain: "+err.Error(), "error", err.Error())
+// close stops the RPC listener and takes the final checkpoint.
+func (n *mergeNode) close() {
+	n.rpc.Close()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.checkpointLocked()
+}
+
+// checkpointLocked persists the accepted submissions as a full snapshot;
+// n.mu must be held.
+func (n *mergeNode) checkpointLocked() {
+	if n.d.store == nil {
+		return
 	}
-	cancel()
-	if durable != nil {
-		stateMu.Lock()
-		if err := durable.Checkpoint(state); err != nil {
-			log.event("store_error", "coordd: final checkpoint: "+err.Error(), "error", err.Error())
-		}
-		stateMu.Unlock()
+	if err := n.d.store.Checkpoint(n.state); err != nil {
+		n.d.log.event("store_error", "coordd: store checkpoint: "+err.Error(), "error", err.Error())
 	}
-	if !log.json {
-		fmt.Print(counters.String())
-	}
-	return nil
 }

@@ -1,81 +1,67 @@
-// Command coordd runs FlashFlow as a long-lived continuous-measurement
-// service (internal/coord): it spins up an in-process population of target
-// relays — speaking the real wire protocol over localhost TCP by default,
-// or simulated instantly with -sim — then drives scheduler rounds over the
-// whole population until interrupted: measuring every relay each round
-// with a bounded worker pool, reusing pooled connections across rounds,
-// retrying failed slots with backoff, feeding each round's medians into
-// the next round's priors, and publishing v3bw-style bandwidth-file
-// snapshots to disk and to the HTTP observability plane.
+// Command coordd is FlashFlow's one daemon. Its roles share one logger,
+// one observability plane, one durable store and one shutdown path:
 //
-// With -http-addr set, the internal/obs server exposes GET /metrics
-// (Prometheus text format), /status and /status/anomalies (JSON), and
-// /v3bw (the latest snapshot behind an atomically swapped pre-rendered
-// body with ETag revalidation). -debug-addr serves net/http/pprof on a
-// separate listener. Threshold crossings in the §5 anomaly table emit
-// alerts to the log and, with -alert-webhook, to a webhook with
-// retry/backoff.
+//   - standalone (the default): continuous measurement (internal/coord)
+//     of in-process target relays speaking the real wire protocol over
+//     localhost TCP, or simulated instantly and noise-free with -sim.
+//     Rounds measure every relay with a bounded worker pool, reuse pooled
+//     connections, retry failed slots with backoff, feed their medians
+//     into the next round's priors and publish a v3bw-style bandwidth
+//     file to -snapshot-dir and /v3bw.
+//   - BWAuth column (-dirauth-addr): the same as one bandwidth authority
+//     (-name) of the paper's §4.3 deployment, also signing each round's
+//     view and submitting it to the merge node over the authenticated
+//     control-plane RPC (internal/rpc).
+//   - merge node (-dirauth): merges the fresh signed views of the
+//     registered BWAuths (-bwauths) median-of-views
+//     (internal/dirauth.MergeService) and serves the result on /v3bw and
+//     the per-BWAuth state on /dirauth.
 //
-// With -state-dir set, the coordinator's cross-round state (per-relay
-// priors, §5 anomaly windows, round counter, last published v3bw
-// snapshot) is durable (internal/store): every mutation is logged to a
-// CRC-framed write-ahead log and a full snapshot is checkpointed every
-// -checkpoint-every rounds, so a restart with the same -state-dir resumes
-// warm — same priors, same anomaly windows, next round number — instead
-// of re-converging from consensus estimates. See OPERATIONS.md for the
-// state-dir layout and recovery semantics.
+// -auth-secret derives each BWAuth's ed25519 key from the secret and its
+// name on both sides: demo key management (see OPERATIONS.md), not for
+// production. -http-addr serves /metrics, /status and /status/anomalies
+// (or /dirauth) and /v3bw with ETag revalidation; -debug-addr serves
+// pprof; §5 anomaly thresholds alert to the log and -alert-webhook. With
+// -state-dir, the measuring roles' priors, anomaly windows, round counter
+// and last v3bw file, and the merge node's accepted submissions, are kept
+// in a write-ahead log with a checkpoint every -checkpoint-every rounds,
+// so a restart resumes warm (internal/store; see OPERATIONS.md).
 //
-// With -dirauth, coordd instead runs the directory-authority merge node
-// of the distributed control plane: it accepts signed v3bw submissions
-// from cmd/bwauthd processes over the authenticated RPC protocol
-// (internal/rpc), merges the fresh views median-of-views style
-// (internal/dirauth.MergeService), serves the merged file on /v3bw and
-// the per-BWAuth submission state on /dirauth, and persists accepted
-// submissions through -state-dir so a restart recovers its freshness
-// windows. See OPERATIONS.md "Multi-node deployment" for the full
-// runbook.
-//
-// SIGINT or SIGTERM triggers a graceful shutdown: in-flight measurement
-// slots are cancelled mid-slot (the streaming backends tear them down
-// within about one second of data, salvaging the completed seconds as
-// partial estimates), the HTTP server drains, pending alerts flush, the
-// final (partial) round is reported, a final checkpoint is flushed so
-// even an interrupt loses at most the in-flight round, and the process
-// exits cleanly.
+// SIGINT or SIGTERM cancels in-flight slots (salvaging their completed
+// seconds), drains the HTTP server and pending alerts within a second,
+// writes a final checkpoint and exits cleanly.
 //
 // Usage:
 //
-//	go run ./cmd/coordd [-relays 4] [-measurers 2] [-workers 4] \
-//	    [-rounds 0] [-interval 2s] [-slot 1] [-slot-timeout 0] [-pool 4] \
-//	    [-pool-ttl 90s] [-snapshot-dir DIR] [-attempts 3] [-relay-rate 0] \
-//	    [-state-dir DIR] [-checkpoint-every 1] [-no-persist] \
-//	    [-sim] [-http-addr 127.0.0.1:8570] [-debug-addr 127.0.0.1:8571] \
-//	    [-log-format text|json] [-alert-webhook URL]
+//	go run ./cmd/coordd [-sim] [-rounds 0] [-interval 2s] [-state-dir DIR] \
+//	    [-http-addr 127.0.0.1:8570] [-name bw0 -dirauth-addr ADDR -auth-secret S]
+//	go run ./cmd/coordd -dirauth -auth-secret S [-rpc-addr 127.0.0.1:8580] \
+//	    [-bwauths bw0,bw1,bw2] [-min-views 1] [-http-addr 127.0.0.1:8581]
+//
+// go run ./cmd/coordd -h lists every flag.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"flashflow/internal/coord"
-	"flashflow/internal/core"
 	"flashflow/internal/dirauth"
 	"flashflow/internal/metrics"
 	"flashflow/internal/obs"
-	"flashflow/internal/relay"
 	"flashflow/internal/store"
-	"flashflow/internal/wire"
 )
 
 // drainBudget bounds how long shutdown waits on each draining subsystem
@@ -85,10 +71,126 @@ import (
 const drainBudget = time.Second
 
 func main() {
-	if err := run(); err != nil && err != context.Canceled {
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err = run(ctx, &logger{w: os.Stdout, json: o.logFormat == "json"}, o)
+	stop()
+	if err != nil && err != context.Canceled {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// options holds every flag value. parseFlags is the only place that sets
+// and checks them.
+type options struct {
+	relays, measurers, workers, rounds, slotSecs, sockets int
+	poolSize, attempts, ckptEvery                         int
+	baseMbit, relayRate                                   float64
+	interval, poolTTL, slotTimeout                        time.Duration
+	snapshotDir, stateDir, httpAddr, debugAddr, logFormat string
+	noPersist, sim                                        bool
+	webhook                                               string
+	alertClamp, alertEcho, alertSplit                     int64
+
+	// BWAuth column: its name and the merge node it submits to.
+	name, dirauthAddr, authSecret string
+
+	// Merge node (-dirauth).
+	dirauth           bool
+	rpcAddr, producer string
+	bwauths           []string
+	freshFor          time.Duration
+	minViews          int
+}
+
+// parseFlags parses coordd's command line and rejects every value that
+// would crash the daemon or make it silently do nothing.
+func parseFlags(args []string) (options, error) {
+	var o options
+	var bwauths string
+	fs := flag.NewFlagSet("coordd", flag.ContinueOnError)
+	fs.IntVar(&o.relays, "relays", 4, "number of in-process target relays")
+	fs.Float64Var(&o.baseMbit, "rate", 8, "slowest relay capacity in Mbit/s (others step up from it)")
+	fs.IntVar(&o.measurers, "measurers", 2, "measurement team size")
+	fs.IntVar(&o.workers, "workers", 4, "concurrent slot executions")
+	fs.IntVar(&o.rounds, "rounds", 0, "rounds to run (0 = until SIGINT)")
+	fs.DurationVar(&o.interval, "interval", 2*time.Second, "pause between rounds")
+	fs.IntVar(&o.slotSecs, "slot", 1, "measurement slot length t in seconds")
+	fs.IntVar(&o.sockets, "sockets", 4, "total measurement sockets s")
+	fs.IntVar(&o.poolSize, "pool", 4, "max idle pooled connections per target")
+	fs.DurationVar(&o.poolTTL, "pool-ttl", 90*time.Second, "idle connection TTL")
+	fs.StringVar(&o.snapshotDir, "snapshot-dir", "", "directory for v3bw snapshots (empty = none)")
+	fs.IntVar(&o.attempts, "attempts", 3, "max measurement attempts per slot")
+	fs.DurationVar(&o.slotTimeout, "slot-timeout", 0, "wall-clock bound per slot assignment; its context is cancelled on expiry (0 = off)")
+	fs.Float64Var(&o.relayRate, "relay-rate", 0, "per-relay attempt rate limit per second (0 = off)")
+	fs.StringVar(&o.stateDir, "state-dir", "", "directory for durable state (priors, anomaly windows, round counter, last v3bw; accepted submissions on the merge node); empty = in-memory only")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 1, "rounds between full state checkpoints (the WAL covers the gap)")
+	fs.BoolVar(&o.noPersist, "no-persist", false, "ignore -state-dir and run without durable state")
+	fs.BoolVar(&o.sim, "sim", false, "simulated measurement backend: noise-free, deterministic, no sockets, rounds complete instantly")
+	fs.StringVar(&o.httpAddr, "http-addr", "", "observability HTTP listen address (/metrics, /status or /dirauth, /v3bw); empty = off")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "pprof listen address (net/http/pprof); empty = off")
+	fs.StringVar(&o.logFormat, "log-format", "text", "log output format: text (human) or json (one object per line)")
+	fs.StringVar(&o.webhook, "alert-webhook", "", "POST threshold alerts as JSON to this URL (retried with backoff)")
+	fs.Int64Var(&o.alertClamp, "alert-clamp-seconds", 30, "alert when a relay accumulates this many clamped seconds (0 = off)")
+	fs.Int64Var(&o.alertEcho, "alert-echo-failures", 1, "alert when a relay accumulates this many echo-failures (0 = off)")
+	fs.Int64Var(&o.alertSplit, "alert-split-view", 1, "alert when a relay accumulates this many split-view rounds (0 = off)")
+
+	fs.StringVar(&o.name, "name", "bw0", "this BWAuth's name (its column in the v3bw file and its submission identity)")
+	fs.StringVar(&o.dirauthAddr, "dirauth-addr", "", "submit each round's signed view to the merge node at this RPC address (coordd -dirauth -rpc-addr); empty = standalone")
+	fs.StringVar(&o.authSecret, "auth-secret", "", "shared secret the demo key derivation uses on both sides (see OPERATIONS.md; not for production)")
+
+	fs.BoolVar(&o.dirauth, "dirauth", false, "run as the dirauth merge node: accept signed v3bw submissions over RPC and serve the median-of-views merge")
+	fs.StringVar(&o.rpcAddr, "rpc-addr", "127.0.0.1:8580", "dirauth mode: RPC listen address for BWAuth submissions")
+	fs.StringVar(&bwauths, "bwauths", "bw0,bw1,bw2", "dirauth mode: comma-separated registered BWAuth names")
+	fs.DurationVar(&o.freshFor, "fresh-for", 15*time.Minute, "dirauth mode: per-BWAuth submission freshness window (0 = views never expire)")
+	fs.IntVar(&o.minViews, "min-views", 1, "dirauth mode: minimum fresh views required to merge")
+	fs.StringVar(&o.producer, "producer", "dirauth", "dirauth mode: producer header of the merged bandwidth file")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if fs.NArg() > 0 {
+		return o, fmt.Errorf("coordd: unexpected arguments %q", fs.Args())
+	}
+
+	switch {
+	case o.slotSecs <= 0:
+		// A zero SlotSeconds would read as "params not set" downstream
+		// and silently select the 30-second default.
+		return o, fmt.Errorf("coordd: -slot must be positive, got %d", o.slotSecs)
+	case o.relays <= 0:
+		return o, fmt.Errorf("coordd: -relays must be positive, got %d", o.relays)
+	case o.measurers <= 0:
+		// Zero would schedule nothing and exit 0; negative sizes a slice.
+		return o, fmt.Errorf("coordd: -measurers must be positive, got %d", o.measurers)
+	case !(o.baseMbit > 0) || math.IsInf(o.baseMbit, 1):
+		return o, fmt.Errorf("coordd: -rate must be a positive number of Mbit/s, got %v", o.baseMbit)
+	case o.logFormat != "text" && o.logFormat != "json":
+		return o, fmt.Errorf("coordd: -log-format must be text or json, got %q", o.logFormat)
+	case o.name == "":
+		return o, errors.New("coordd: -name must not be empty")
+	case o.dirauth && o.dirauthAddr != "":
+		return o, errors.New("coordd: -dirauth (merge node) and -dirauth-addr (BWAuth column) are different roles")
+	case o.dirauthAddr != "" && o.authSecret == "":
+		return o, errors.New("coordd: -dirauth-addr needs -auth-secret to derive this BWAuth's identity")
+	case o.dirauth && o.authSecret == "":
+		return o, errors.New("coordd: -dirauth needs -auth-secret to derive the registered BWAuth keys")
+	}
+	for _, n := range strings.Split(bwauths, ",") {
+		n = strings.TrimSpace(n)
+		if n == "" {
+			return o, fmt.Errorf("coordd: empty BWAuth name in -bwauths %q", bwauths)
+		}
+		o.bwauths = append(o.bwauths, n)
+	}
+	return o, nil
 }
 
 // logger emits coordd's operational records in one of two formats: the
@@ -97,6 +199,7 @@ func main() {
 // reports, and alerts are machine-ingestable by a log pipeline.
 type logger struct {
 	mu   sync.Mutex
+	w    io.Writer
 	json bool
 }
 
@@ -106,7 +209,7 @@ func (l *logger) event(kind, human string, fields ...any) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.json {
-		fmt.Println(human)
+		fmt.Fprintln(l.w, human)
 		return
 	}
 	doc := make(map[string]any, len(fields)/2+2)
@@ -120,397 +223,110 @@ func (l *logger) event(kind, human string, fields ...any) {
 		fmt.Fprintf(os.Stderr, "coordd: log marshal: %v\n", err)
 		return
 	}
-	os.Stdout.Write(append(b, '\n'))
+	l.w.Write(append(b, '\n'))
 }
 
-func run() error {
-	var (
-		relays      = flag.Int("relays", 4, "number of in-process target relays")
-		baseMbit    = flag.Float64("rate", 8, "slowest relay capacity in Mbit/s (others step up from it)")
-		measurers   = flag.Int("measurers", 2, "measurement team size")
-		workers     = flag.Int("workers", 4, "concurrent slot executions")
-		rounds      = flag.Int("rounds", 0, "rounds to run (0 = until SIGINT)")
-		interval    = flag.Duration("interval", 2*time.Second, "pause between rounds")
-		slotSecs    = flag.Int("slot", 1, "measurement slot length t in seconds")
-		sockets     = flag.Int("sockets", 4, "total measurement sockets s")
-		poolSize    = flag.Int("pool", 4, "max idle pooled connections per target")
-		poolTTL     = flag.Duration("pool-ttl", 90*time.Second, "idle connection TTL")
-		snapshotDir = flag.String("snapshot-dir", "", "directory for v3bw snapshots (empty = none)")
-		attempts    = flag.Int("attempts", 3, "max measurement attempts per slot")
-		slotTimeout = flag.Duration("slot-timeout", 0, "wall-clock bound per slot assignment; its context is cancelled on expiry (0 = off)")
-		relayRate   = flag.Float64("relay-rate", 0, "per-relay attempt rate limit per second (0 = off)")
-		stateDir    = flag.String("state-dir", "", "directory for durable coordinator state (priors, anomaly windows, round counter, last v3bw); empty = in-memory only")
-		ckptEvery   = flag.Int("checkpoint-every", 1, "rounds between full state checkpoints (the WAL covers the gap)")
-		noPersist   = flag.Bool("no-persist", false, "ignore -state-dir and run without durable state")
-		sim         = flag.Bool("sim", false, "simulated measurement backend: deterministic, no sockets, rounds complete instantly")
-		httpAddr    = flag.String("http-addr", "", "observability HTTP listen address (/metrics, /status, /v3bw); empty = off")
-		debugAddr   = flag.String("debug-addr", "", "pprof listen address (net/http/pprof); empty = off")
-		logFormat   = flag.String("log-format", "text", "log output format: text (human) or json (one object per line)")
-		webhook     = flag.String("alert-webhook", "", "POST threshold alerts as JSON to this URL (retried with backoff)")
-		alertClamp  = flag.Int64("alert-clamp-seconds", 30, "alert when a relay accumulates this many clamped seconds (0 = off)")
-		alertEcho   = flag.Int64("alert-echo-failures", 1, "alert when a relay accumulates this many echo-failures (0 = off)")
-		alertSplit  = flag.Int64("alert-split-view", 1, "alert when a relay accumulates this many split-view rounds (0 = off)")
+// daemon is what every role shares: the log, the counters /metrics
+// serves, the holder /v3bw serves and, with -state-dir, the store.
+type daemon struct {
+	o        options
+	log      *logger
+	counters *metrics.Counters
+	snapshot *obs.SnapshotHolder
+	store    store.Store // nil without -state-dir
+}
 
-		// -dirauth mode: run the directory-authority merge node instead of
-		// measuring (see cmd/coordd/dirauth.go and OPERATIONS.md).
-		dirauthMode = flag.Bool("dirauth", false, "run as the dirauth merge node: accept signed v3bw submissions over RPC and serve the median-of-views merge")
-		rpcAddr     = flag.String("rpc-addr", "127.0.0.1:8580", "dirauth mode: RPC listen address for BWAuth submissions")
-		bwauthNames = flag.String("bwauths", "bw0,bw1,bw2", "dirauth mode: comma-separated registered BWAuth names")
-		authSecret  = flag.String("auth-secret", "", "dirauth mode: shared secret the demo key derivation uses (see OPERATIONS.md; not for production)")
-		freshFor    = flag.Duration("fresh-for", 15*time.Minute, "dirauth mode: per-BWAuth submission freshness window (0 = views never expire)")
-		minViews    = flag.Int("min-views", 1, "dirauth mode: minimum fresh views required to merge")
-		producer    = flag.String("producer", "dirauth", "dirauth mode: producer header of the merged bandwidth file")
-	)
-	flag.Parse()
-	if *slotSecs <= 0 {
-		// Guard explicitly: a zero SlotSeconds would read as "params not
-		// set" downstream and silently select the 30-second default.
-		return fmt.Errorf("coordd: -slot must be positive, got %d", *slotSecs)
-	}
-	if *relays <= 0 {
-		return fmt.Errorf("coordd: -relays must be positive, got %d", *relays)
-	}
-	if *logFormat != "text" && *logFormat != "json" {
-		return fmt.Errorf("coordd: -log-format must be text or json, got %q", *logFormat)
-	}
-	log := &logger{json: *logFormat == "json"}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *dirauthMode {
-		return runDirauth(ctx, log, dirauthOptions{
-			rpcAddr:    *rpcAddr,
-			bwauths:    *bwauthNames,
-			authSecret: *authSecret,
-			freshFor:   *freshFor,
-			minViews:   *minViews,
-			producer:   *producer,
-			httpAddr:   *httpAddr,
-			stateDir:   *stateDir,
-			noPersist:  *noPersist,
-			ckptEvery:  *ckptEvery,
-		})
-	}
-
-	p := core.DefaultParams()
-	p.SlotSeconds = *slotSecs
-	p.Sockets = *sockets
-	p.CheckProb = 0.01
-
-	counters := metrics.NewCounters()
-
-	// Relay population + measurement backend: real wire targets over
-	// localhost TCP, or the deterministic simulation (-sim) whose slots
-	// consume no wall clock — the mode CI's endpoint smoke test runs.
-	var (
-		auths   []*core.BWAuth
-		source  coord.StaticRelays
-		pool    *coord.Pool
-		cleanup func()
-	)
-	if *sim {
-		backend := core.NewSimBackend(simPaths(*measurers), 1)
-		team := make([]*core.Measurer, *measurers)
-		for i := range team {
-			team[i] = &core.Measurer{Name: fmt.Sprintf("m%d", i), CapacityBps: 500e6, Cores: 2}
-		}
-		for i := 0; i < *relays; i++ {
-			name := fmt.Sprintf("relay%02d", i)
-			rate := *baseMbit * 1e6 * (1 + 0.5*float64(i))
-			backend.AddTarget(name, &core.SimTarget{
-				Relay:    relay.New(relay.Config{Name: name, TorCapBps: rate}),
-				LinkBps:  2e9,
-				Behavior: core.BehaviorHonest,
-			})
-			source = append(source, core.RelayEstimate{Name: name, EstimateBps: rate})
-			log.event("relay", fmt.Sprintf("%s: simulated, capacity %.1f Mbit/s", name, rate/1e6),
-				"name", name, "backend", "sim", "capacity_mbit", rate/1e6)
-		}
-		auths = []*core.BWAuth{core.NewBWAuth("bw0", team, backend, p)}
-		cleanup = func() {}
-	} else {
-		var err error
-		auths, source, pool, cleanup, err = wireSetup(log, *relays, *measurers, *baseMbit, *poolSize, *poolTTL, p)
-		if err != nil {
-			return err
-		}
-	}
-	defer cleanup()
-
-	// Observability plane: snapshot holder fed by the coordinator's
-	// OnSnapshot hook, alert manager fed by the per-round anomaly table,
-	// HTTP server exposing both plus /metrics and /status.
-	snapshot := &obs.SnapshotHolder{}
-	thresholds := obs.DefaultThresholds()
-	thresholds.ClampedSeconds = *alertClamp
-	thresholds.EchoFailures = *alertEcho
-	thresholds.SplitViewRounds = *alertSplit
-	sinks := []obs.Sink{&obs.LogSink{W: os.Stdout, JSON: log.json}}
-	if *webhook != "" {
-		sinks = append(sinks, &obs.WebhookSink{URL: *webhook})
-	}
-	alerts := obs.NewAlertManager(obs.AlertConfig{
-		Thresholds: thresholds,
-		Sinks:      sinks,
-		Counters:   counters,
-	})
-
-	// Durable state: opened before the coordinator so New can replay the
-	// WAL onto the latest snapshot and resume warm. Closed after Run's
-	// final checkpoint has flushed.
-	var durable store.Store
-	if *stateDir != "" && !*noPersist {
-		fs, err := store.Open(*stateDir, store.Options{})
-		if err != nil {
-			return fmt.Errorf("coordd: open state dir: %w", err)
-		}
-		defer fs.Close()
-		durable = fs
-	}
-
-	var c *coord.Coordinator
-	cfg := coord.Config{
-		Params:              p,
-		Workers:             *workers,
-		MaxAttempts:         *attempts,
-		SlotTimeout:         *slotTimeout,
-		RelayAttemptsPerSec: *relayRate,
-		RelayBurst:          2,
-		RoundInterval:       *interval,
-		MaxRounds:           *rounds,
-		SnapshotDir:         *snapshotDir,
-		Pool:                pool,
-		Store:               durable,
-		CheckpointEvery:     *ckptEvery,
-		Counters:            counters,
-		OnSnapshot: func(round int, f *dirauth.BandwidthFile) {
-			if err := snapshot.Publish(round, f, time.Now()); err != nil {
-				log.event("snapshot_error", "  snapshot render: "+err.Error(),
-					"round", round, "error", err.Error())
-			}
-		},
-		OnRound: func(r coord.RoundReport) {
-			logRound(log, r)
-			st := c.Status()
-			alerts.Evaluate(r.Round, st.Anomalies, time.Now())
-			alerts.Retain(st.Anomalies)
-		},
-	}
-	c, err := coord.New(cfg, auths, source)
+// run opens the shared parts, runs the role o selects and closes the
+// store after the role's final checkpoint.
+func run(ctx context.Context, log *logger, o options) error {
+	d, err := openDaemon(log, o)
 	if err != nil {
 		return err
 	}
-	if durable != nil {
-		s := c.Status()
-		log.event("recover",
-			fmt.Sprintf("coordd: durable state from %s: resuming after round %d (%d priors, %d anomaly records)",
-				*stateDir, s.Round, s.Counters["coord_store_recovered_priors"], s.Counters["coord_store_recovered_anomalies"]),
-			"state_dir", *stateDir,
-			"round", s.Round,
-			"priors", s.Counters["coord_store_recovered_priors"],
-			"anomalies", s.Counters["coord_store_recovered_anomalies"])
+	defer d.close()
+	if o.dirauth {
+		return runMergeNode(ctx, d)
 	}
+	return runMeasuring(ctx, d)
+}
 
-	srv := obs.NewServer(obs.Config{Coordinator: c, Counters: counters, Snapshot: snapshot})
-	if *httpAddr != "" {
-		addr, err := srv.Start(*httpAddr)
+// openDaemon builds the shared parts and opens the durable store when
+// -state-dir is set (and -no-persist is not).
+func openDaemon(log *logger, o options) (*daemon, error) {
+	d := &daemon{o: o, log: log, counters: metrics.NewCounters(), snapshot: &obs.SnapshotHolder{}}
+	if o.stateDir != "" && !o.noPersist {
+		fs, err := store.Open(o.stateDir, store.Options{})
+		if err != nil {
+			return nil, fmt.Errorf("coordd: open state dir: %w", err)
+		}
+		d.store = fs
+	}
+	return d, nil
+}
+
+// close closes the store; each role has taken its final checkpoint.
+func (d *daemon) close() {
+	if d.store == nil {
+		return
+	}
+	if err := d.store.Close(); err != nil {
+		d.log.event("store_error", "coordd: close state dir: "+err.Error(), "error", err.Error())
+	}
+}
+
+// serve is the shutdown path every role shares. It serves cfg (plus the
+// daemon's counters and /v3bw) on -http-addr and pprof on -debug-addr,
+// runs loop until it returns (a measuring role cancels its in-flight
+// slots when ctx is), then drains the HTTP server and the role's own
+// queues (flush) within drainBudget and dumps the counters.
+func (d *daemon) serve(ctx context.Context, cfg obs.Config, routes string,
+	loop func(context.Context) error, flush func(context.Context)) error {
+	cfg.Counters, cfg.Snapshot = d.counters, d.snapshot
+	srv := obs.NewServer(cfg)
+	if d.o.httpAddr != "" {
+		addr, err := srv.Start(d.o.httpAddr)
 		if err != nil {
 			return fmt.Errorf("coordd: observability server: %w", err)
 		}
-		log.event("http", fmt.Sprintf("observability: http://%s (/metrics /status /status/anomalies /v3bw)", addr),
+		d.log.event("http", fmt.Sprintf("observability: http://%s (%s)", addr, routes),
 			"addr", addr.String())
 	}
-	if *debugAddr != "" {
-		dl, err := net.Listen("tcp", *debugAddr)
+	if d.o.debugAddr != "" {
+		dl, err := net.Listen("tcp", d.o.debugAddr)
 		if err != nil {
+			srv.Shutdown(context.Background())
 			return fmt.Errorf("coordd: debug server: %w", err)
 		}
 		defer dl.Close()
 		debugSrv := &http.Server{Handler: obs.DebugHandler(), ReadHeaderTimeout: 5 * time.Second}
 		go func() { _ = debugSrv.Serve(dl) }()
-		log.event("pprof", fmt.Sprintf("pprof: http://%s/debug/pprof/", dl.Addr()),
+		d.log.event("pprof", fmt.Sprintf("pprof: http://%s/debug/pprof/", dl.Addr()),
 			"addr", dl.Addr().String())
 	}
 
-	log.event("start",
-		fmt.Sprintf("coordd: %d relays, %d measurers, %d workers; ctrl-C for graceful shutdown",
-			*relays, *measurers, *workers),
-		"relays", *relays, "measurers", *measurers, "workers", *workers, "sim", *sim)
-	runErr := c.Run(ctx)
-	if runErr == context.Canceled {
-		log.event("shutdown", "coordd: interrupted — in-flight slots cancelled and drained")
+	runErr := loop(ctx)
+	if ctx.Err() != nil {
+		d.log.event("shutdown", "coordd: interrupted — in-flight work cancelled, draining")
 	}
 
-	// Drain the observability plane inside the same ~1 s budget as the
-	// measurement pipeline: the HTTP server finishes in-flight responses,
-	// then pending alerts get the remainder before delivery is cancelled.
 	drainCtx, cancel := context.WithTimeout(context.Background(), drainBudget)
 	if err := srv.Shutdown(drainCtx); err != nil {
-		log.event("shutdown_error", "coordd: http drain: "+err.Error(), "error", err.Error())
+		d.log.event("shutdown_error", "coordd: http drain: "+err.Error(), "error", err.Error())
 	}
-	if err := alerts.Flush(drainCtx); err != nil {
-		log.event("shutdown_error", "coordd: alert flush: "+err.Error(), "error", err.Error())
-	}
+	flush(drainCtx)
 	cancel()
-	alerts.Close()
 
-	// §5 anomaly evidence accumulated over the run: relays whose
-	// measurements tripped the clamp, echo verification, or the
-	// stall/skew/split-view cross-checks (see DESIGN.md).
-	if anomalies := c.Status().Anomalies; len(anomalies) > 0 {
-		names := make([]string, 0, len(anomalies))
-		for name := range anomalies {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		if !log.json {
-			fmt.Println("anomaly suspects:")
-		}
-		for _, name := range names {
-			a := anomalies[name]
-			log.event("anomaly",
-				fmt.Sprintf("  %s: clamped-seconds=%d ratio-clamped=%d echo-failures=%d stall=%d skew=%d split-view=%d",
-					name, a.ClampedSeconds, a.RatioClampedSlots, a.EchoFailures,
-					a.StallSuspectSlots, a.SkewSuspectSlots, a.SplitViewRounds),
-				"relay", name,
-				"clamped_seconds", a.ClampedSeconds,
-				"ratio_clamped_slots", a.RatioClampedSlots,
-				"echo_failures", a.EchoFailures,
-				"stall_suspect_slots", a.StallSuspectSlots,
-				"skew_suspect_slots", a.SkewSuspectSlots,
-				"split_view_rounds", a.SplitViewRounds)
-		}
+	counterDoc := make(map[string]int64)
+	for _, kv := range d.counters.SortedSnapshot() {
+		counterDoc[kv.Name] = kv.Value
 	}
-	if log.json {
-		counterDoc := make(map[string]int64)
-		for _, kv := range counters.SortedSnapshot() {
-			counterDoc[kv.Name] = kv.Value
-		}
-		log.event("counters", "", "counters", counterDoc)
-	} else {
-		fmt.Print(counters.String())
-	}
+	d.log.event("counters", strings.TrimSuffix(d.counters.String(), "\n"), "counters", counterDoc)
 	return runErr
 }
 
-// logRound emits one round summary.
-func logRound(log *logger, r coord.RoundReport) {
-	human := r.String()
-	if r.SnapshotPath != "" {
-		human += "\n  snapshot: " + r.SnapshotPath
+// publish swaps the body /v3bw serves to round's file.
+func (d *daemon) publish(round int, f *dirauth.BandwidthFile) {
+	if err := d.snapshot.Publish(round, f, time.Now()); err != nil {
+		d.log.event("snapshot_error", "  snapshot render: "+err.Error(), "round", round, "error", err.Error())
 	}
-	if len(r.Unscheduled) > 0 {
-		names := r.Unscheduled
-		if len(names) > 5 {
-			names = names[:5]
-		}
-		human += fmt.Sprintf("\n  unscheduled: %d relay(s) did not fit the schedule (team capacity too small): %s",
-			len(r.Unscheduled), strings.Join(names, ", "))
-	}
-	for _, um := range r.Unmeasured {
-		human += fmt.Sprintf("\n  unmeasured: %s@%s after %d attempts: %s", um.Relay, um.BWAuth, um.Attempts, um.Reason)
-	}
-	log.event("round", human,
-		"round", r.Round,
-		"relays", r.Relays,
-		"scheduled", r.Scheduled,
-		"conclusive", r.Conclusive,
-		"inconclusive", r.Inconclusive,
-		"unmeasured", len(r.Unmeasured),
-		"unscheduled", len(r.Unscheduled),
-		"retries", r.Retries,
-		"rate_limited", r.RateLimited,
-		"estimates", len(r.Estimates),
-		"pool_hits", r.Pool.Hits,
-		"pool_misses", r.Pool.Misses,
-		"duration_ms", float64(r.Duration)/float64(time.Millisecond),
-		"partial", r.Partial,
-		"snapshot", r.SnapshotPath)
-}
-
-// simPaths models one low-noise measurement path per team member for the
-// -sim backend.
-func simPaths(measurers int) []core.PathModel {
-	paths := make([]core.PathModel, measurers)
-	for i := range paths {
-		paths[i] = core.PathModel{
-			RTT:         40 * time.Millisecond,
-			LinkBps:     1e9,
-			BiasSigma:   0.03,
-			JitterSigma: 0.02,
-		}
-	}
-	return paths
-}
-
-// wireSetup builds the default real-socket population: wire targets on
-// localhost listeners, a measurement team with pooled authenticated
-// connections, and one BWAuth over the wire backend.
-func wireSetup(log *logger, relays, measurers int, baseMbit float64, poolSize int, poolTTL time.Duration, p core.Params) ([]*core.BWAuth, coord.StaticRelays, *coord.Pool, func(), error) {
-	ids := make([]wire.Identity, measurers)
-	for i := range ids {
-		var err error
-		ids[i], err = wire.NewIdentity()
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-	}
-
-	addrs := make(map[string]string, relays)
-	source := make(coord.StaticRelays, 0, relays)
-	var listeners []net.Listener
-	cleanupListeners := func() {
-		for _, l := range listeners {
-			l.Close()
-		}
-	}
-	for i := 0; i < relays; i++ {
-		name := fmt.Sprintf("relay%02d", i)
-		rate := baseMbit * 1e6 * (1 + 0.5*float64(i))
-		tgt := wire.NewTarget(wire.TargetConfig{RateBps: rate})
-		for _, id := range ids {
-			tgt.Authorize(id.Pub)
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			cleanupListeners()
-			return nil, nil, nil, nil, err
-		}
-		listeners = append(listeners, l)
-		go tgt.Serve(l)
-		addrs[name] = l.Addr().String()
-		source = append(source, core.RelayEstimate{Name: name, EstimateBps: rate})
-		log.event("relay", fmt.Sprintf("%s: %s, capacity %.1f Mbit/s", name, l.Addr(), rate/1e6),
-			"name", name, "addr", l.Addr().String(), "capacity_mbit", rate/1e6)
-	}
-
-	pool := coord.NewPool(poolSize, poolTTL)
-	members := make([]wire.Member, len(ids))
-	for i := range ids {
-		member := i
-		members[i] = wire.Member{
-			Identity: ids[i],
-			Dial: func(target string) wire.Dialer {
-				addr := addrs[target]
-				// Pool key carries the measurer identity so reuse never
-				// crosses identities.
-				key := fmt.Sprintf("%s/m%d", target, member)
-				return pool.Dialer(key, func() (net.Conn, error) {
-					return net.Dial("tcp", addr)
-				})
-			},
-		}
-	}
-	team := make([]*core.Measurer, len(ids))
-	for i := range team {
-		team[i] = &core.Measurer{Name: fmt.Sprintf("m%d", i), CapacityBps: 500e6, Cores: 2}
-	}
-	backend := &wire.Backend{Members: members, CheckProb: p.CheckProb, Seed: time.Now().UnixNano()}
-	auths := []*core.BWAuth{core.NewBWAuth("bw0", team, backend, p)}
-	cleanup := func() {
-		cleanupListeners()
-		pool.Close()
-	}
-	return auths, source, pool, cleanup, nil
 }

@@ -81,6 +81,23 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
+// TestSimBackendChecksAtBWAuthProb: the -sim role's backend draws echo
+// checks at the BWAuth's own CheckProb, not at NewSimBackend's default.
+func TestSimBackendChecksAtBWAuthProb(t *testing.T) {
+	a, _, _, cleanup, err := population(quiet(), mustParse(t, "-sim"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	backend, ok := a.Backend.(*core.SimBackend)
+	if !ok {
+		t.Fatalf("sim role backend is %T", a.Backend)
+	}
+	if backend.CheckProb != a.Params.CheckProb {
+		t.Fatalf("backend CheckProb %g, BWAuth CheckProb %g", backend.CheckProb, a.Params.CheckProb)
+	}
+}
+
 // TestSimRunsAreByteIdentical runs the -sim measuring role twice: the
 // noise-free simulation must write the same v3bw files byte for byte and
 // measure every relay at exactly its configured capacity.

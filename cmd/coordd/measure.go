@@ -217,6 +217,9 @@ func population(log *logger, o options) (*core.BWAuth, coord.StaticRelays, *coor
 			paths[i] = core.PathModel{RTT: 40 * time.Millisecond, LinkBps: 1e9}
 		}
 		backend := core.NewSimBackend(paths, 1)
+		// The backend draws echo checks at its own probability; keep it
+		// the BWAuth's, not NewSimBackend's default.
+		backend.CheckProb = p.CheckProb
 		for _, r := range source {
 			backend.AddTarget(r.Name, &core.SimTarget{
 				Relay:    relay.New(relay.Config{Name: r.Name, TorCapBps: r.EstimateBps}),

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -279,29 +280,24 @@ type Coordinator struct {
 	backoff *Backoff
 	limiter *RelayLimiter
 
-	// Round-planning arenas, reused across rounds so a steady-state
-	// population plans each period without allocation churn: the
-	// schedule builder's indexed structures, the population buffer
-	// (when the source supports AppendRelays), the flattened job list
-	// and its backing array, the retain set, and the per-round result
-	// collector. All are touched only by Run's goroutine.
-	builder  *core.ScheduleBuilder
-	popBuf   []core.RelayEstimate
-	capsBuf  []float64
-	jobArena []slotJob
-	jobs     []*slotJob
-	keepBuf  map[string]bool
-	col      roundCollector
+	// Round planning kept across rounds, touched only by Run's
+	// goroutine: the schedule builder, whose relay index is also the
+	// round's population membership test, and the population buffer
+	// (when the source supports AppendRelays). The round's job arena
+	// and result collector are not kept: they are pointer-free, sized
+	// by the round, and dropped before the round's publication.
+	builder *core.ScheduleBuilder
+	popBuf  []core.RelayEstimate
+	capsBuf []float64
 
 	// Durable-state bookkeeping, touched only by New and Run's
 	// goroutine: the last published merged v3bw file (retained so
-	// checkpoints can persist it), its round, the round of the most
+	// checkpoints can persist it), its round, and the round of the most
 	// recent checkpoint (so Run's final flush skips a round that
-	// finishRound already checkpointed), and a reused WAL record batch.
+	// finishRound already checkpointed).
 	lastV3BW      *dirauth.BandwidthFile
 	lastV3BWRound int
 	ckptRound     int
-	recBuf        []store.Record
 
 	// inFlight counts this coordinator's executing measurements; the
 	// coord_in_flight cell counts them too, so the gauge stays exact
@@ -317,8 +313,8 @@ type Coordinator struct {
 	last     *RoundReport
 	progress map[progressKey]*liveSlot
 	// anomalies is the coordinator's own windowed copy of per-relay §5
-	// defense counters: unlike the BWAuths' tables (dropped with the
-	// retain set), entries survive population churn for
+	// defense counters: unlike the BWAuths' tables (pruned to the
+	// population each round), entries survive population churn for
 	// AnomalyRetainRounds rounds after the relay was last seen, so a
 	// relay cannot launder its record by flapping in and out of the
 	// consensus.
@@ -392,12 +388,13 @@ func New(cfg Config, auths []*core.BWAuth, source RelaySource) (*Coordinator, er
 // recover loads the durable store's state into a freshly built
 // coordinator: priors and §5 anomaly windows resume exactly where the
 // previous process left them, the round counter continues (Run starts at
-// the recovered round + 1), every BWAuth's measurement priors are
-// re-seeded so the first round's doubling loops start from the earned
-// estimates instead of the new-relay percentile, and the last published
-// v3bw snapshot — if one was checkpointed — is pushed through OnSnapshot
-// so the observability plane serves it before the first new round
-// completes.
+// the recovered round + 1), and the last published v3bw snapshot — if
+// one was checkpointed — is pushed through OnSnapshot so the
+// observability plane serves it before the first new round completes.
+// The BWAuths need no seeding here: every round seeds their priors from
+// the population, which substitutes the recovered priors, before any
+// slot runs, so the first round's doubling loops start from the earned
+// estimates instead of the new-relay percentile.
 func (c *Coordinator) recover() error {
 	st, err := c.cfg.Store.Load()
 	if err != nil {
@@ -413,13 +410,6 @@ func (c *Coordinator) recover() error {
 		c.anomalies[name] = &relayAnomaly{counts: rec.Counts, lastSeen: rec.LastSeen}
 	}
 	c.mu.Unlock()
-	for _, a := range c.auths {
-		for name, bps := range st.Priors {
-			if bps > 0 {
-				a.SetPrior(name, bps)
-			}
-		}
-	}
 	ctr := c.cfg.Counters
 	ctr.Set("coord_round", int64(st.Round))
 	ctr.Set("coord_anomaly_relays", int64(len(st.Anomalies)))
@@ -883,25 +873,35 @@ func (c *Coordinator) Anomalies(relay string) (core.AnomalyCounts, bool) {
 }
 
 // slotJob is one schedule assignment moving through the retry pipeline.
+// It holds no pointer, so the round's job arena is memory the garbage
+// collector never scans: the relay is an index into the round's
+// population, the BWAuth an index into c.auths.
 type slotJob struct {
-	auth    int
-	relay   string
-	slot    int
-	attempt int // measurement attempts consumed so far
+	relay   int32
+	auth    int32
+	attempt int32 // measurement attempts consumed so far
 	// Deferral counts, separate so rate-limit waits cannot exhaust the
 	// capacity-collision budget; neither consumes a measurement attempt.
-	rlDeferrals  int
-	capDeferrals int
-	outcome      core.MeasureOutcome
-	hasOutcome   bool
+	rlDeferrals  int32
+	capDeferrals int32
+	// salvageBps is what finalize reports for a job that never
+	// concludes: the estimate of its last successful attempt, or of a
+	// later failed one that still produced an estimate; 0 reports the
+	// job unmeasured.
+	salvageBps float64
 }
 
-// roundCollector accumulates a round's results under its own lock. The
-// coordinator owns one and resets it each round, keeping the per-relay
-// map's buckets warm across a stable population.
+// roundCollector accumulates a round's results. est is dense and
+// pointer-free: est[relay*auths+auth] is that BWAuth's estimate of the
+// population's relay-th entry this round, NaN if it has none. Each cell
+// belongs to the one job of its (relay, BWAuth) assignment, so it is
+// written without the lock and read after every job has finished; the
+// counters and the unmeasured list are shared and take mu.
 type roundCollector struct {
+	auths int
+	est   []float64
+
 	mu           sync.Mutex
-	perRelay     map[string][]float64
 	conclusive   int
 	inconclusive int
 	retries      int
@@ -909,23 +909,42 @@ type roundCollector struct {
 	unmeasured   []Unmeasured
 }
 
-func (rc *roundCollector) reset(relays int) {
-	rc.mu.Lock()
-	if rc.perRelay == nil {
-		rc.perRelay = make(map[string][]float64, relays)
-	} else {
-		clear(rc.perRelay)
+func newRoundCollector(relays, auths int) *roundCollector {
+	rc := &roundCollector{auths: auths, est: make([]float64, relays*auths)}
+	for i := range rc.est {
+		rc.est[i] = math.NaN()
 	}
-	rc.conclusive, rc.inconclusive, rc.retries, rc.rateLimited = 0, 0, 0, 0
-	rc.unmeasured = rc.unmeasured[:0]
-	rc.mu.Unlock()
+	return rc
 }
 
-func (rc *roundCollector) addEstimate(relay string, bps float64) {
-	rc.mu.Lock()
-	rc.perRelay[relay] = append(rc.perRelay[relay], bps)
-	rc.mu.Unlock()
+// setEstimate records the estimate of the job's (relay, BWAuth) cell.
+func (rc *roundCollector) setEstimate(j *slotJob, bps float64) {
+	rc.est[int(j.relay)*rc.auths+int(j.auth)] = bps
 }
+
+// relayEstimates appends the relay's estimates, in BWAuth order, to buf.
+func (rc *roundCollector) relayEstimates(buf []float64, relay int) []float64 {
+	for _, e := range rc.est[relay*rc.auths : (relay+1)*rc.auths] {
+		if !math.IsNaN(e) {
+			buf = append(buf, e)
+		}
+	}
+	return buf
+}
+
+// roundJobs is one round's work in flight: the population the jobs index
+// into, the job arena, and the queue of arena indices the workers drain.
+// It lives for one execute call.
+type roundJobs struct {
+	ctx     context.Context
+	pop     []core.RelayEstimate
+	jobs    []slotJob
+	queue   chan int32
+	pending sync.WaitGroup
+	col     *roundCollector
+}
+
+func (r *roundJobs) name(j *slotJob) string { return r.pop[j.relay].Name }
 
 // runRound executes one full round: population, seed, schedule, then the
 // worker pool over every slot assignment with retries.
@@ -981,69 +1000,54 @@ func (c *Coordinator) runRound(ctx context.Context, round int) RoundReport {
 	rep.Unscheduled = append(rep.Unscheduled, sched.Unscheduled...)
 
 	// Flatten slot-major so earlier slots start first, preserving the
-	// schedule's rough ordering under the worker pool. The job structs
-	// live in one reused arena sized by the schedule's assignment count.
-	total := sched.Assignments()
-	if cap(c.jobArena) < total {
-		c.jobArena = make([]slotJob, total)
-		c.jobs = make([]*slotJob, 0, total)
-	}
-	arena := c.jobArena[:total]
-	jobs := c.jobs[:0]
+	// schedule's rough ordering under the worker pool.
+	jobs := make([]slotJob, 0, sched.Assignments())
 	for slot := 0; slot < sched.NumSlots; slot++ {
 		for b := range sched.PerBWAuth {
 			for _, a := range sched.PerBWAuth[b][slot] {
-				j := &arena[len(jobs)]
-				*j = slotJob{auth: b, relay: a.Relay, slot: slot}
-				jobs = append(jobs, j)
+				jobs = append(jobs, slotJob{relay: int32(a.Index), auth: int32(b)})
 			}
 		}
 	}
-	c.jobs = jobs
 	rep.Scheduled = len(jobs)
 	c.cfg.Counters.Add("coord_slots_scheduled", int64(len(jobs)))
 
-	col := &c.col
-	col.reset(len(population))
-	c.execute(ctx, jobs, col)
+	col := newRoundCollector(len(population), len(c.auths))
+	c.execute(ctx, population, jobs, col)
 
-	col.mu.Lock()
 	rep.Conclusive = col.conclusive
 	rep.Inconclusive = col.inconclusive
 	rep.Retries = col.retries
 	rep.RateLimited = col.rateLimited
 	rep.Unmeasured = append(rep.Unmeasured, col.unmeasured...)
-	medians := make(map[string]float64, len(col.perRelay))
+	medians := make(map[string]float64, len(population))
 	var splitView []string
-	for relay, ests := range col.perRelay {
+	ests := make([]float64, 0, len(c.auths))
+	for i := range population {
+		ests = col.relayEstimates(ests[:0], i)
+		if len(ests) == 0 {
+			continue
+		}
+		relay := population[i].Name
 		medians[relay] = stats.Median(ests)
 		// §5 selective lying: a relay showing different BWAuths
 		// significantly different capacities within one round.
 		if c.cfg.SplitViewFactor > 0 && len(ests) >= 2 {
-			lo, hi := ests[0], ests[0]
-			for _, e := range ests[1:] {
-				if e < lo {
-					lo = e
-				}
-				if e > hi {
-					hi = e
-				}
-			}
+			lo, hi := slices.Min(ests), slices.Max(ests)
 			if lo > 0 && hi/lo > c.cfg.SplitViewFactor {
 				splitView = append(splitView, relay)
 			}
 		}
 	}
-	col.mu.Unlock()
 	for _, relay := range splitView {
 		c.recordAnomalies(relay, core.AnomalyCounts{SplitViewRounds: 1})
 	}
-
 	rep.Estimates = medians
-	if cap(c.recBuf) < len(medians) {
-		c.recBuf = make([]store.Record, 0, len(medians)+len(medians)/8)
-	}
-	recs := c.recBuf[:0]
+
+	// The round's WAL batch: the medians folded in plus the retention
+	// sweep's deletions and refreshes. Built per round and dropped with
+	// it, like the arena and the collector.
+	recs := make([]store.Record, 0, len(medians)+len(medians)/8)
 	c.mu.Lock()
 	for relay, m := range medians {
 		c.priors[relay] = m
@@ -1054,22 +1058,15 @@ func (c *Coordinator) runRound(ctx context.Context, round int) RoundReport {
 	// Forget relays that left the population: limiter buckets, the
 	// coordinator's priors, and the BWAuths' tables would otherwise grow
 	// (and keep publishing departed relays) for the life of the service.
-	if c.keepBuf == nil {
-		c.keepBuf = make(map[string]bool, len(population))
-	} else {
-		clear(c.keepBuf)
-	}
-	keep := c.keepBuf
-	for _, r := range population {
-		keep[r.Name] = true
-	}
+	// The schedule builder's relay index is the membership test.
+	keep := c.builder.Listed
 	c.limiter.Retain(keep)
 	for _, a := range c.auths {
 		a.Retain(keep)
 	}
 	c.mu.Lock()
 	for name := range c.priors {
-		if !keep[name] {
+		if !keep(name) {
 			delete(c.priors, name)
 			recs = append(recs, store.Record{Kind: store.KindPriorDelete, Relay: name})
 		}
@@ -1081,7 +1078,7 @@ func (c *Coordinator) runRound(ctx context.Context, round int) RoundReport {
 	// liar cannot reset its record), and only a long-gone relay's entry
 	// is forgotten.
 	for name, a := range c.anomalies {
-		if keep[name] {
+		if keep(name) {
 			if a.lastSeen != round {
 				// The refresh must reach the WAL too (a zero-count
 				// anomaly record only stamps LastSeen on replay), or a
@@ -1098,10 +1095,9 @@ func (c *Coordinator) runRound(ctx context.Context, round int) RoundReport {
 	c.cfg.Counters.Set("coord_anomaly_relays", int64(len(c.anomalies)))
 	c.mu.Unlock()
 	// One batched WAL append per round for the whole feedback-loop
-	// mutation set: medians folded in plus the retention sweep. A single
-	// Append is a single fsync regardless of population size.
+	// mutation set. A single Append is a single fsync regardless of
+	// population size.
 	c.appendStore(recs...)
-	c.recBuf = recs[:0]
 
 	rep.Partial = ctx.Err() != nil
 	rep.Duration = time.Since(start)
@@ -1111,17 +1107,16 @@ func (c *Coordinator) runRound(ctx context.Context, round int) RoundReport {
 // execute runs the jobs on the bounded worker pool, re-queueing retries
 // after their backoff delay. It returns when every job has been finalized
 // (measured, exhausted, or drained by shutdown).
-func (c *Coordinator) execute(ctx context.Context, jobs []*slotJob, col *roundCollector) {
+func (c *Coordinator) execute(ctx context.Context, pop []core.RelayEstimate, jobs []slotJob, col *roundCollector) {
 	if len(jobs) == 0 {
 		return
 	}
 	// Capacity len(jobs) guarantees enqueues never block: a job is in the
 	// queue, running, or waiting on a retry timer — never duplicated.
-	queue := make(chan *slotJob, len(jobs))
-	var pending sync.WaitGroup
-	pending.Add(len(jobs))
-	for _, j := range jobs {
-		queue <- j
+	r := &roundJobs{ctx: ctx, pop: pop, jobs: jobs, queue: make(chan int32, len(jobs)), col: col}
+	r.pending.Add(len(jobs))
+	for i := range jobs {
+		r.queue <- int32(i)
 	}
 
 	var workers sync.WaitGroup
@@ -1129,24 +1124,26 @@ func (c *Coordinator) execute(ctx context.Context, jobs []*slotJob, col *roundCo
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			for j := range queue {
-				c.runJob(ctx, j, queue, &pending, col)
+			for i := range r.queue {
+				c.runJob(r, i)
 			}
 		}()
 	}
-	pending.Wait()
-	close(queue)
+	r.pending.Wait()
+	close(r.queue)
 	workers.Wait()
 }
 
-// runJob performs one attempt of one slot assignment.
-func (c *Coordinator) runJob(ctx context.Context, j *slotJob, queue chan<- *slotJob, pending *sync.WaitGroup, col *roundCollector) {
+// runJob performs one attempt of job i.
+func (c *Coordinator) runJob(r *roundJobs, i int32) {
+	ctx, j, col := r.ctx, &r.jobs[i], r.col
 	ctr := c.cfg.Counters
 	if ctx.Err() != nil {
-		c.finalize(j, col, pending, "shutdown before slot started")
+		c.finalize(r, i, "shutdown before slot started")
 		return
 	}
-	if !c.limiter.Allow(j.relay) {
+	relay, auth := r.name(j), c.auths[j.auth]
+	if !c.limiter.Allow(relay) {
 		ctr.Inc("coord_slots_rate_limited")
 		col.mu.Lock()
 		col.rateLimited++
@@ -1154,7 +1151,7 @@ func (c *Coordinator) runJob(ctx context.Context, j *slotJob, queue chan<- *slot
 		// Deferral does not consume a measurement attempt; the bucket
 		// refills while the job waits out a backoff delay.
 		j.rlDeferrals++
-		c.requeue(ctx, j, queue, pending, col, "rate limited")
+		c.requeue(r, i, "rate limited")
 		return
 	}
 
@@ -1170,7 +1167,7 @@ func (c *Coordinator) runJob(ctx context.Context, j *slotJob, queue chan<- *slot
 	if c.cfg.SlotTimeout > 0 {
 		slotCtx, cancelSlot = context.WithTimeout(ctx, c.cfg.SlotTimeout)
 	}
-	out, err := c.auths[j.auth].MeasureTarget(slotCtx, j.relay)
+	out, err := auth.MeasureTarget(slotCtx, relay)
 	cancelSlot()
 	c.inFlight.Add(-1)
 	c.ctrInFlight.Add(-1)
@@ -1181,7 +1178,7 @@ func (c *Coordinator) runJob(ctx context.Context, j *slotJob, queue chan<- *slot
 	// have consumed on top of it (the abort refactor's dividend, exported
 	// as a counter so /metrics shows it accumulating live).
 	if used := out.SlotSecondsUsed(); used > 0 || len(out.Attempts) > 0 {
-		scheduled := len(out.Attempts) * c.auths[j.auth].Params.SlotSeconds
+		scheduled := len(out.Attempts) * auth.Params.SlotSeconds
 		c.ctrSecondsUsed.Add(int64(used))
 		if saved := scheduled - used; saved > 0 {
 			c.ctrSecondsSaved.Add(int64(saved))
@@ -1194,11 +1191,11 @@ func (c *Coordinator) runJob(ctx context.Context, j *slotJob, queue chan<- *slot
 	// Params (BWAuths are caller-constructed and may diverge from
 	// cfg.Params), so this window and the BWAuth's table always agree on
 	// the same outcome.
-	counts := core.OutcomeAnomalies(out, c.auths[j.auth].Params)
+	counts := core.OutcomeAnomalies(out, auth.Params)
 	if errors.Is(err, core.ErrMeasurementFailed) {
 		counts.EchoFailures++
 	}
-	c.recordAnomalies(j.relay, counts)
+	c.recordAnomalies(relay, counts)
 
 	if err != nil {
 		ctr.Inc("coord_slot_errors")
@@ -1208,17 +1205,17 @@ func (c *Coordinator) runJob(ctx context.Context, j *slotJob, queue chan<- *slot
 		// finalize reports a job with an estimate as inconclusively
 		// measured rather than unmeasured.
 		if out.EstimateBps > 0 {
-			j.outcome, j.hasOutcome = out, true
+			j.salvageBps = out.EstimateBps
 		}
 		if ctx.Err() != nil {
 			// Shutdown cancelled the in-flight slot; don't burn backoff
 			// timers on a dying coordinator.
-			c.finalize(j, col, pending, "shutdown cancelled in-flight slot")
+			c.finalize(r, i, "shutdown cancelled in-flight slot")
 			return
 		}
 		if errors.Is(err, context.DeadlineExceeded) {
 			ctr.Inc("coord_slot_timeouts")
-			c.retryOrFail(ctx, j, queue, pending, col, "slot timeout after "+c.cfg.SlotTimeout.String())
+			c.retryOrFail(r, i, "slot timeout after "+c.cfg.SlotTimeout.String())
 			return
 		}
 		if errors.Is(err, core.ErrInsufficientCapacity) && j.capDeferrals < maxCapacityDeferrals {
@@ -1228,84 +1225,80 @@ func (c *Coordinator) runJob(ctx context.Context, j *slotJob, queue chan<- *slot
 			// instead of burning one of the relay's attempts.
 			j.attempt--
 			j.capDeferrals++
-			c.requeue(ctx, j, queue, pending, col, "insufficient residual team capacity")
+			c.requeue(r, i, "insufficient residual team capacity")
 			return
 		}
-		c.retryOrFail(ctx, j, queue, pending, col, err.Error())
+		c.retryOrFail(r, i, err.Error())
 		return
 	}
-	j.outcome, j.hasOutcome = out, true
+	j.salvageBps = out.EstimateBps
 	if out.Conclusive {
 		c.ctrConclusive.Add(1)
+		col.setEstimate(j, out.EstimateBps)
 		col.mu.Lock()
 		col.conclusive++
-		col.perRelay[j.relay] = append(col.perRelay[j.relay], out.EstimateBps)
 		col.mu.Unlock()
-		pending.Done()
+		r.pending.Done()
 		return
 	}
 	ctr.Inc("coord_slots_inconclusive")
-	c.retryOrFail(ctx, j, queue, pending, col, "inconclusive")
+	c.retryOrFail(r, i, "inconclusive")
 }
 
-// retryOrFail re-queues the job with backoff if attempts remain, otherwise
+// retryOrFail re-queues job i with backoff if attempts remain, otherwise
 // finalizes it.
-func (c *Coordinator) retryOrFail(ctx context.Context, j *slotJob, queue chan<- *slotJob, pending *sync.WaitGroup, col *roundCollector, reason string) {
-	if j.attempt >= c.cfg.MaxAttempts {
-		c.finalize(j, col, pending, reason)
+func (c *Coordinator) retryOrFail(r *roundJobs, i int32, reason string) {
+	if int(r.jobs[i].attempt) >= c.cfg.MaxAttempts {
+		c.finalize(r, i, reason)
 		return
 	}
-	c.requeue(ctx, j, queue, pending, col, reason)
+	c.requeue(r, i, reason)
 }
 
-// requeue schedules the job's next attempt after its backoff delay. If
+// requeue schedules job i's next attempt after its backoff delay. If
 // shutdown arrives while the job waits, it is finalized instead.
-func (c *Coordinator) requeue(ctx context.Context, j *slotJob, queue chan<- *slotJob, pending *sync.WaitGroup, col *roundCollector, reason string) {
+func (c *Coordinator) requeue(r *roundJobs, i int32, reason string) {
+	j := &r.jobs[i]
 	c.cfg.Counters.Inc("coord_slot_retries")
-	col.mu.Lock()
-	col.retries++
-	col.mu.Unlock()
+	r.col.mu.Lock()
+	r.col.retries++
+	r.col.mu.Unlock()
 	// Never wait zero: a deferral before the first attempt (rate limit,
 	// capacity collision) would otherwise hot-loop through the queue
 	// until its condition clears.
-	step := j.attempt
-	if d := j.rlDeferrals + j.capDeferrals; d > step {
-		step = d
-	}
-	if step < 1 {
-		step = 1
-	}
+	step := int(max(j.attempt, j.rlDeferrals+j.capDeferrals, 1))
 	delay := c.backoff.Next(step)
 	time.AfterFunc(delay, func() {
 		select {
-		case <-ctx.Done():
-			c.finalize(j, col, pending, "shutdown during retry backoff after: "+reason)
+		case <-r.ctx.Done():
+			c.finalize(r, i, "shutdown during retry backoff after: "+reason)
 		default:
-			queue <- j
+			r.queue <- i
 		}
 	})
 }
 
-// finalize records a job's terminal state and releases it. A job with any
-// estimate counts as inconclusively measured; one with none lands in the
-// unmeasured list — never silently dropped.
-func (c *Coordinator) finalize(j *slotJob, col *roundCollector, pending *sync.WaitGroup, reason string) {
-	if j.hasOutcome && j.outcome.EstimateBps > 0 {
+// finalize records job i's terminal state and releases it. A job with
+// any estimate counts as inconclusively measured; one with none lands in
+// the unmeasured list — never silently dropped.
+func (c *Coordinator) finalize(r *roundJobs, i int32, reason string) {
+	j, col := &r.jobs[i], r.col
+	if j.salvageBps > 0 {
+		col.setEstimate(j, j.salvageBps)
 		col.mu.Lock()
 		col.inconclusive++
 		col.mu.Unlock()
-		col.addEstimate(j.relay, j.outcome.EstimateBps)
 	} else {
 		col.mu.Lock()
 		col.unmeasured = append(col.unmeasured, Unmeasured{
-			Relay:    j.relay,
+			Relay:    r.name(j),
 			BWAuth:   c.auths[j.auth].Name,
-			Attempts: j.attempt,
+			Attempts: int(j.attempt),
 			Reason:   reason,
 		})
 		col.mu.Unlock()
 	}
-	pending.Done()
+	r.pending.Done()
 }
 
 // buildSnapshot merges every BWAuth's current bandwidth file into the

@@ -921,10 +921,11 @@ func TestUnscheduledRelaysSurfaced(t *testing.T) {
 	}
 }
 
-// TestRoundArenasReused: the planning arenas (population buffer, job
-// arena, schedule builder) must not grow per-round allocations on a
-// stable population — pinned loosely by checking the coordinator reuses
-// its population buffer's backing array across rounds.
+// TestRoundArenasReused: the planning state kept across rounds (the
+// population buffer and the schedule builder) is reused on a stable
+// population, the builder's relay index answers the round's membership
+// test, and every assignment's Index names the population entry the
+// index-based job arena and collector key on.
 func TestRoundArenasReused(t *testing.T) {
 	caps := map[string]float64{"r1": 10e6, "r2": 25e6, "r3": 40e6}
 	p := testParams()
@@ -951,7 +952,32 @@ func TestRoundArenasReused(t *testing.T) {
 	if cap(c.popBuf) < len(source) {
 		t.Fatalf("population buffer not retained: cap %d", cap(c.popBuf))
 	}
-	if cap(c.jobArena) < len(source) {
-		t.Fatalf("job arena not retained: cap %d", cap(c.jobArena))
+	for _, r := range source {
+		if !c.builder.Listed(r.Name) {
+			t.Fatalf("%s missing from the builder's relay index", r.Name)
+		}
+	}
+	if c.builder.Listed("departed") {
+		t.Fatal("a relay outside the population is listed")
+	}
+	pop := c.population()
+	sched, err := c.builder.Build([]byte("seed"), pop, []float64{core.TeamCapacityBps(auths[0].Team)}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &pop[0] != &c.popBuf[0] {
+		t.Fatal("population buffer reallocated on a stable population")
+	}
+	placed := 0
+	for _, slot := range sched.PerBWAuth[0] {
+		for _, a := range slot {
+			if pop[a.Index].Name != a.Relay {
+				t.Fatalf("assignment %s carries index %d (%s)", a.Relay, a.Index, pop[a.Index].Name)
+			}
+			placed++
+		}
+	}
+	if placed != len(source) {
+		t.Fatalf("placed %d of %d relays", placed, len(source))
 	}
 }

@@ -40,17 +40,17 @@ func NewRelayLimiter(ratePerSec float64, burst int) *RelayLimiter {
 	}
 }
 
-// Retain drops the buckets of every relay not in keep. The coordinator
-// calls it with each round's population so relays that leave the network
-// do not leak buckets over a long-lived run.
-func (l *RelayLimiter) Retain(keep map[string]bool) {
+// Retain drops the buckets of every relay keep rejects. The coordinator
+// calls it with each round's population membership so relays that leave
+// the network do not leak buckets over a long-lived run.
+func (l *RelayLimiter) Retain(keep func(relay string) bool) {
 	if l == nil || l.rate <= 0 {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for relay := range l.buckets {
-		if !keep[relay] {
+		if !keep(relay) {
 			delete(l.buckets, relay)
 		}
 	}

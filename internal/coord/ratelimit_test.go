@@ -46,7 +46,7 @@ func TestRelayLimiterRetain(t *testing.T) {
 	if !l.Allow("gone") || l.Allow("gone") {
 		t.Fatal("burst of 1")
 	}
-	l.Retain(map[string]bool{"kept": true})
+	l.Retain(func(relay string) bool { return relay == "kept" })
 	if len(l.buckets) != 0 {
 		t.Fatalf("buckets not pruned: %v", l.buckets)
 	}

@@ -26,7 +26,7 @@ type BWAuth struct {
 	Backend Backend
 	Params  Params
 
-	// mu guards estimates, priors, and history.
+	// mu guards estimates, priors, history, and anomalies.
 	mu sync.Mutex
 	// teamGate serializes allocation commit/release against Team.
 	teamGate sync.Mutex
@@ -41,8 +41,12 @@ type BWAuth struct {
 	names   []string
 	namesOK bool
 	// priors holds externally seeded starting points (advertised
-	// bandwidths, a coordinator's population estimates) consulted only
-	// when a relay has never been measured; they are never published.
+	// bandwidths, a coordinator's population estimates) for relays
+	// without a positive estimate, the only ones MeasureTarget reads a
+	// prior for; they are never published. An entry goes when the
+	// relay's first positive estimate lands, and the map itself (nil
+	// when empty) when its last entry does, so a measured population
+	// keeps no second per-relay table.
 	priors map[string]float64
 	// history holds last-month measured capacities, feeding the
 	// new-relay prior.
@@ -63,7 +67,6 @@ func NewBWAuth(name string, team []*Measurer, backend Backend, p Params) *BWAuth
 		Params:    p,
 		estimates: make(map[string]float64),
 		namesOK:   true,
-		priors:    make(map[string]float64),
 		anomalies: make(map[string]AnomalyCounts),
 	}
 }
@@ -85,12 +88,22 @@ func (b *BWAuth) SetEstimate(relayName string, bps float64) {
 	b.setEstimateLocked(relayName, bps)
 }
 
-// setEstimateLocked stores an estimate; b.mu must be held.
+// setEstimateLocked stores an estimate; b.mu must be held. A positive
+// estimate retires the relay's prior, which MeasureTarget no longer
+// reads.
 func (b *BWAuth) setEstimateLocked(relayName string, bps float64) {
 	if _, ok := b.estimates[relayName]; !ok {
 		b.namesOK = false
 	}
 	b.estimates[relayName] = bps
+	if bps > 0 && b.priors != nil {
+		delete(b.priors, relayName)
+		// Go maps never shrink: release the buckets once the last prior
+		// goes, or a map that once held a whole population keeps them.
+		if len(b.priors) == 0 {
+			b.priors = nil
+		}
+	}
 }
 
 // SetPrior seeds a measurement starting point for a relay without making
@@ -98,39 +111,50 @@ func (b *BWAuth) setEstimateLocked(relayName string, bps float64) {
 // actually measured, but BandwidthFile never emits it. The continuous
 // coordinator seeds population estimates this way so a relay that fails
 // every measurement attempt is not reported with a fabricated capacity.
+// A relay that already has a positive estimate starts from that
+// estimate, so the call is a no-op for it.
 func (b *BWAuth) SetPrior(relayName string, bps float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.estimates[relayName] > 0 {
+		return
+	}
+	if b.priors == nil {
+		b.priors = make(map[string]float64)
+	}
 	b.priors[relayName] = bps
 }
 
 // Retain drops estimates, priors, and anomaly counters for every relay
-// not in keep, so a long-lived deployment stops publishing relays that
+// keep rejects, so a long-lived deployment stops publishing relays that
 // left the consensus and does not grow its tables across population
 // churn. Callers that need anomaly evidence to survive churn (so a
 // flapping liar cannot reset its record by briefly departing) keep their
 // own windowed copy — internal/coord retains departed relays' counters
 // for a configurable number of rounds before forgetting them.
-func (b *BWAuth) Retain(keep map[string]bool) {
+func (b *BWAuth) Retain(keep func(relayName string) bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	dropped := false
 	for name := range b.estimates {
-		if !keep[name] {
+		if !keep(name) {
 			delete(b.estimates, name)
 			dropped = true
 		}
 	}
 	if dropped && b.namesOK {
-		b.names = slices.DeleteFunc(b.names, func(name string) bool { return !keep[name] })
+		b.names = slices.DeleteFunc(b.names, func(name string) bool { return !keep(name) })
 	}
 	for name := range b.priors {
-		if !keep[name] {
+		if !keep(name) {
 			delete(b.priors, name)
 		}
 	}
+	if len(b.priors) == 0 {
+		b.priors = nil
+	}
 	for name := range b.anomalies {
-		if !keep[name] {
+		if !keep(name) {
 			delete(b.anomalies, name)
 		}
 	}

@@ -167,3 +167,41 @@ func TestBWAuthHistoryFeedsPrior(t *testing.T) {
 		t.Fatalf("prior from history: %v", prior)
 	}
 }
+
+// TestPriorsKeptOnlyWhereRead pins the prior table's rule: MeasureTarget
+// reads a prior only for a relay without a positive estimate, so a
+// positive estimate retires the prior, SetPrior is a no-op for such a
+// relay, Retain drops departed relays' priors, and an emptied table
+// releases its map.
+func TestPriorsKeptOnlyWhereRead(t *testing.T) {
+	a := newTestBWAuth("bw1", 4, nil)
+	a.SetPrior("x", 5e6)
+	a.SetPrior("y", 6e6)
+	if len(a.priors) != 2 {
+		t.Fatalf("priors %v, want x and y", a.priors)
+	}
+	a.SetEstimate("x", 0)
+	if _, ok := a.priors["x"]; !ok {
+		t.Fatal("a non-positive estimate retired the prior MeasureTarget still reads")
+	}
+	a.SetEstimate("x", 7e6)
+	if _, ok := a.priors["x"]; ok {
+		t.Fatal("a positive estimate left its prior behind")
+	}
+	a.SetPrior("x", 9e6)
+	if _, ok := a.priors["x"]; ok {
+		t.Fatal("SetPrior stored a prior for a relay with a positive estimate")
+	}
+	a.Retain(func(name string) bool { return name == "x" })
+	if a.priors != nil {
+		t.Fatalf("priors %v after Retain dropped the last one, want the map released", a.priors)
+	}
+	if est, ok := a.Estimate("x"); !ok || est != 7e6 {
+		t.Fatalf("Retain dropped a kept relay's estimate: %v %v", est, ok)
+	}
+	a.SetPrior("z", 1e6)
+	a.SetEstimate("z", 2e6)
+	if a.priors != nil {
+		t.Fatalf("priors %v after the last prior's relay was measured, want the map released", a.priors)
+	}
+}

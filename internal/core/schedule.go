@@ -26,6 +26,10 @@ type RelayEstimate struct {
 type Assignment struct {
 	Relay   string
 	NeedBps float64
+	// Index is the relay's position in the population the schedule was
+	// built from, so a caller can keep dense per-relay state without
+	// looking the name up.
+	Index int
 }
 
 // Schedule maps (BWAuth, slot) to the measurements that start there.
@@ -249,6 +253,14 @@ func (sb *ScheduleBuilder) Build(seed []byte, relays []RelayEstimate, teamCapBps
 	return s, nil
 }
 
+// Listed reports whether relayName was in the input of the last Build.
+// It answers from the relay index the builder keeps across builds, so a
+// caller can test population membership without a set of its own.
+func (sb *ScheduleBuilder) Listed(relayName string) bool {
+	_, ok := sb.ord[relayName]
+	return ok
+}
+
 // prepare sizes (or recycles) the output Schedule, the relay→ordinal
 // map, and the per-BWAuth scratch for this build.
 func (sb *ScheduleBuilder) prepare(relays []RelayEstimate, numBWAuths, numSlots int) {
@@ -348,7 +360,7 @@ func (sb *ScheduleBuilder) buildOne(b int, seed []byte, relays []RelayEstimate, 
 		}
 		slot := x.kth(rng.Intn(x.feasCount))
 		x.place(slot, need)
-		slots[slot] = append(slots[slot], Assignment{Relay: relays[ri].Name, NeedBps: need})
+		slots[slot] = append(slots[slot], Assignment{Relay: relays[ri].Name, NeedBps: need, Index: int(ri)})
 		slotOf[ri] = int32(slot)
 	}
 
@@ -363,7 +375,7 @@ func (sb *ScheduleBuilder) buildOne(b int, seed []byte, relays []RelayEstimate, 
 			continue
 		}
 		x.place(slot, need)
-		slots[slot] = append(slots[slot], Assignment{Relay: relays[ri].Name, NeedBps: need})
+		slots[slot] = append(slots[slot], Assignment{Relay: relays[ri].Name, NeedBps: need, Index: int(ri)})
 		slotOf[ri] = int32(slot)
 	}
 	sb.failedB[b] = failed

@@ -56,7 +56,7 @@ func BuildScheduleReference(seed []byte, relays []RelayEstimate, teamCapBps []fl
 				slot = candidates[rng.Intn(len(candidates))]
 			}
 			remaining[slot] -= need
-			s.PerBWAuth[b][slot] = append(s.PerBWAuth[b][slot], Assignment{Relay: relays[ri].Name, NeedBps: need})
+			s.PerBWAuth[b][slot] = append(s.PerBWAuth[b][slot], Assignment{Relay: relays[ri].Name, NeedBps: need, Index: int(ri)})
 			return true
 		}
 

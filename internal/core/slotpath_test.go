@@ -185,9 +185,9 @@ func TestBandwidthFileViewOrder(t *testing.T) {
 					keep[fmt.Sprintf("relay-%03d", i)] = true
 				}
 			}
-			a.Retain(keep)
+			a.Retain(func(name string) bool { return keep[name] })
 		default:
-			a.Retain(map[string]bool{})
+			a.Retain(func(string) bool { return false })
 		}
 		if rng.Intn(3) == 0 {
 			continue // let several changes pile up between views

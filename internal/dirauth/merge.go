@@ -174,6 +174,11 @@ func NewMergeService(cfg MergeConfig) (*MergeService, error) {
 // returned Merged is the post-acceptance merged state (nil when fewer
 // than MinViews fresh views exist yet). Rejections return a typed error
 // and change nothing.
+//
+// Submit takes ownership of sub.Body: an accepted view keeps the slice
+// itself, not a copy, so the caller must not modify it afterwards.
+// DecodeSubmission's result satisfies this when its input is a buffer
+// the caller no longer uses.
 func (m *MergeService) Submit(sub *Submission) (*Merged, error) {
 	m.cfg.Counters.Add("dirauth_submissions_received", 1)
 	pub, ok := m.cfg.Keys[sub.BWAuth]
@@ -208,7 +213,7 @@ func (m *MergeService) Submit(sub *Submission) (*Merged, error) {
 		BWAuth:   sub.BWAuth,
 		Round:    sub.Round,
 		Version:  sub.Version,
-		Body:     append([]byte(nil), sub.Body...),
+		Body:     sub.Body,
 		Received: m.cfg.Now(),
 		File:     file,
 	}

@@ -57,6 +57,35 @@ func signedSub(auth testAuth, round int, caps map[string]float64) *Submission {
 	return s
 }
 
+// TestSubmittedBodyKeptWithoutCopy pins the ownership rule: the decoded
+// body aliases the encoded payload, and the accepted view keeps that
+// same slice, so a submission body exists once on the merge node.
+func TestSubmittedBodyKeptWithoutCopy(t *testing.T) {
+	auths, keys := newTestAuths(t, "bw0")
+	enc := signedSub(auths[0], 1, map[string]float64{"relay1": 1e6}).Encode()
+	sub, err := DecodeSubmission(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inPayload := func(b []byte) bool {
+		start := len(enc) - len(b) - ed25519.SignatureSize
+		return len(b) > 0 && &b[0] == &enc[start]
+	}
+	if !inPayload(sub.Body) {
+		t.Fatal("DecodeSubmission copied the body")
+	}
+	svc, err := NewMergeService(MergeConfig{Keys: keys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit(sub); err != nil {
+		t.Fatal(err)
+	}
+	if v := svc.Views(); len(v) != 1 || !inPayload(v[0].Body) {
+		t.Fatal("the accepted view copied the submitted body")
+	}
+}
+
 func TestSubmissionEncodeDecodeRoundTrip(t *testing.T) {
 	auths, _ := newTestAuths(t, "bw0")
 	sub := signedSub(auths[0], 7, map[string]float64{"relay1": 1e6})

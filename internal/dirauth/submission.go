@@ -92,6 +92,11 @@ func (s *Submission) Encode() []byte {
 
 // DecodeSubmission parses an Encode blob. It validates structure only;
 // signature and version acceptance are the merge service's decisions.
+//
+// The returned Body and Sig alias p, so the caller hands p over: it must
+// not modify p afterwards. An rpc handler's request payload is a fresh
+// buffer per frame (rpc.ReadFrame), so the body crosses from the wire
+// into the merge node's accepted view without a copy.
 func DecodeSubmission(p []byte) (*Submission, error) {
 	var s Submission
 	if len(p) < 2+8+2 {
@@ -110,7 +115,7 @@ func DecodeSubmission(p []byte) (*Submission, error) {
 	if bodyLen > uint64(len(p)) || uint64(len(p)) != bodyLen+ed25519.SignatureSize {
 		return nil, fmt.Errorf("%w: body/signature length mismatch", ErrBadSubmissionEncoding)
 	}
-	s.Body = append([]byte(nil), p[:bodyLen]...)
-	s.Sig = append([]byte(nil), p[bodyLen:]...)
+	s.Body = p[:bodyLen:bodyLen]
+	s.Sig = p[bodyLen:]
 	return &s, nil
 }

@@ -84,9 +84,25 @@ type FileStore struct {
 	loaded bool
 	closed bool
 	// buf and payload are append scratch, reused across calls so a
-	// steady round's WAL traffic does not allocate per record.
+	// steady round's WAL traffic does not allocate per record. A call
+	// that grew them past maxScratch (a round's whole batch, a
+	// snapshot) drops them on return: that high-water mark would
+	// otherwise stay live between rounds.
 	buf     []byte
 	payload []byte
+}
+
+// maxScratch bounds the append scratch a FileStore keeps between calls.
+const maxScratch = 1 << 20
+
+// trimScratch drops scratch a call grew past maxScratch.
+func (s *FileStore) trimScratch() {
+	if cap(s.buf) > maxScratch {
+		s.buf = nil
+	}
+	if cap(s.payload) > maxScratch {
+		s.payload = nil
+	}
 }
 
 // Open prepares a state directory (creating it if needed) and removes
@@ -294,6 +310,7 @@ func (s *FileStore) Append(recs ...Record) error {
 	if !s.loaded {
 		return fmt.Errorf("store: append before Load")
 	}
+	defer s.trimScratch()
 	s.buf = s.buf[:0]
 	for _, rec := range recs {
 		s.payload = appendRecord(s.payload[:0], rec)
@@ -322,6 +339,7 @@ func (s *FileStore) Checkpoint(st *State) error {
 		return fmt.Errorf("store: checkpoint before Load")
 	}
 	gen := s.gen + 1
+	defer s.trimScratch()
 
 	buf := appendHeader(s.buf[:0], snapMagic, gen)
 	s.payload = appendState(s.payload[:0], st)

@@ -438,3 +438,39 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Error("unknown kind accepted")
 	}
 }
+
+// TestAppendScratchCapped: a FileStore keeps its encode scratch across
+// small appends but drops what a large batch or a snapshot grew past
+// maxScratch, so a round-sized buffer does not stay live between
+// rounds; the state it wrote still replays whole.
+func TestAppendScratchCapped(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpenLoad(t, dir)
+	if err := s.Append(testRecords()...); err != nil {
+		t.Fatal(err)
+	}
+	if cap(s.buf) == 0 || cap(s.payload) == 0 {
+		t.Fatal("small append scratch was not kept for reuse")
+	}
+	body := bytes.Repeat([]byte("x"), maxScratch+1)
+	if err := s.Append(Record{Kind: KindSubmission, Relay: "bw0", Round: 3, Version: 1, Unix: 1700001200, Body: body}); err != nil {
+		t.Fatal(err)
+	}
+	if cap(s.buf) > maxScratch || cap(s.payload) > maxScratch {
+		t.Fatalf("append kept %d+%d B of scratch, cap %d", cap(s.buf), cap(s.payload), maxScratch)
+	}
+	st := wantState()
+	st.Apply(Record{Kind: KindSubmission, Relay: "bw0", Round: 3, Version: 1, Unix: 1700001200, Body: body})
+	if err := s.Checkpoint(st); err != nil {
+		t.Fatal(err)
+	}
+	if cap(s.buf) > maxScratch || cap(s.payload) > maxScratch {
+		t.Fatalf("checkpoint kept %d+%d B of scratch, cap %d", cap(s.buf), cap(s.payload), maxScratch)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, got := mustOpenLoad(t, dir)
+	defer s2.Close()
+	checkState(t, got, st)
+}

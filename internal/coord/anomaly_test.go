@@ -2,13 +2,17 @@ package coord
 
 import (
 	"context"
+	"crypto/ed25519"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"flashflow/internal/adversary"
 	"flashflow/internal/core"
+	"flashflow/internal/dirauth"
+	"flashflow/internal/metrics"
 	"flashflow/internal/relay"
 )
 
@@ -20,11 +24,11 @@ type churnSource struct {
 	members func(round int) []core.RelayEstimate
 }
 
-func (s *churnSource) Relays() []core.RelayEstimate {
+func (s *churnSource) AppendRelays(buf []core.RelayEstimate) []core.RelayEstimate {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.round++
-	return s.members(s.round)
+	return append(buf, s.members(s.round)...)
 }
 
 func liarBackend(t *testing.T, seed int64) *adversary.Backend {
@@ -55,19 +59,18 @@ func anomalyTeam() []*core.Measurer {
 	}
 }
 
-func runChurnRounds(t *testing.T, retain int, members func(round int) []core.RelayEstimate, rounds int) *Coordinator {
+func runChurnRounds(t *testing.T, members func(round int) []core.RelayEstimate, rounds int) *Coordinator {
 	t.Helper()
 	p := core.DefaultParams()
 	p.SlotSeconds = 4
 	auth := core.NewBWAuth("bw0", anomalyTeam(), liarBackend(t, 1), p)
 	c, err := New(Config{
-		Params:              p,
-		Workers:             2,
-		MaxAttempts:         1,
-		MaxRounds:           rounds,
-		RetryBase:           time.Millisecond,
-		RetryMax:            2 * time.Millisecond,
-		AnomalyRetainRounds: retain,
+		Params:      p,
+		Workers:     2,
+		MaxAttempts: 1,
+		MaxRounds:   rounds,
+		RetryBase:   time.Millisecond,
+		RetryMax:    2 * time.Millisecond,
 	}, []*core.BWAuth{auth}, &churnSource{members: members})
 	if err != nil {
 		t.Fatal(err)
@@ -92,13 +95,13 @@ func TestAnomalyRetainedAcrossChurn(t *testing.T) {
 		return []core.RelayEstimate{honest, liar}
 	}
 
-	c := runChurnRounds(t, 8, members, 1)
+	c := runChurnRounds(t, members, 1)
 	after1, ok := c.Anomalies("liar")
 	if !ok || after1.ClampedSeconds == 0 {
 		t.Fatalf("liar not flagged after round 1: %+v ok=%v", after1, ok)
 	}
 
-	c = runChurnRounds(t, 8, members, 4)
+	c = runChurnRounds(t, members, 4)
 	after4, ok := c.Anomalies("liar")
 	if !ok {
 		t.Fatal("liar's anomaly record was dropped across churn")
@@ -126,7 +129,7 @@ func TestAnomalyForgottenPastWindow(t *testing.T) {
 		}
 		return []core.RelayEstimate{honest}
 	}
-	c := runChurnRounds(t, 2, members, 5) // gone for 4 rounds > window 2
+	c := runChurnRounds(t, members, 2+anomalyRetainRounds) // gone one round longer than the window
 	if _, ok := c.Anomalies("liar"); ok {
 		t.Fatal("departed relay's anomaly record outlived the retention window")
 	}
@@ -181,5 +184,75 @@ func TestSplitViewDetected(t *testing.T) {
 	// The median across the three teams absorbs the one lied-to view.
 	if est := rep.Estimates["split"]; est > 1.35*capBps {
 		t.Fatalf("median estimate %.2fx truth — the lie leaked through", est/capBps)
+	}
+}
+
+// TestSplitViewSameVerdictAtBothSites feeds the same per-BWAuth
+// capacities to a 3-BWAuth coordinator round and to a merge node over
+// that round's signed views: a relay whose max/min is exactly
+// SplitViewFactor is flagged by neither, one just above it by both.
+func TestSplitViewSameVerdictAtBothSites(t *testing.T) {
+	perAuth := []map[string]float64{
+		{"even": 10e6, "over": 10e6},
+		{"even": 12e6, "over": 12e6},
+		{"even": 15e6, "over": 15.000001e6},
+	}
+	p := testParams()
+	auths := make([]*core.BWAuth, len(perAuth))
+	keys := make(map[string]ed25519.PublicKey, len(perAuth))
+	privs := make([]ed25519.PrivateKey, len(perAuth))
+	for i, caps := range perAuth {
+		auths[i] = testAuth(fmt.Sprintf("bw%d", i), newFakeBackend(caps), p)
+		pub, priv, err := ed25519.GenerateKey(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[auths[i].Name], privs[i] = pub, priv
+	}
+	c, err := New(Config{Params: p, Workers: 3, MaxAttempts: 1, MaxRounds: 1, RetryBase: time.Millisecond},
+		auths, StaticRelays{{Name: "even", EstimateBps: 12e6}, {Name: "over", EstimateBps: 12e6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i, caps := range perAuth {
+		for name, capBps := range caps {
+			if est, _ := auths[i].Estimate(name); est != capBps {
+				t.Fatalf("%s %s: estimate %g, want the capacity %g", auths[i].Name, name, est, capBps)
+			}
+		}
+	}
+
+	ctr := metrics.NewCounters()
+	svc, err := dirauth.NewMergeService(dirauth.MergeConfig{Keys: keys, MinViews: len(auths), Counters: ctr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merged *dirauth.Merged
+	for i, a := range auths {
+		body, _, err := a.BandwidthFile(0).Render()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := &dirauth.Submission{BWAuth: a.Name, Round: 1, Version: dirauth.SubmissionVersionMax, Body: body}
+		sub.Sign(privs[i])
+		if merged, err = svc.Submit(sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if merged == nil || !slices.Equal(merged.SplitView, []string{"over"}) {
+		t.Fatalf("merge node flagged %v, want [over]", merged)
+	}
+	if _, ok := c.Anomalies("even"); ok {
+		t.Error("coordinator flagged the relay at exactly SplitViewFactor")
+	}
+	if a, _ := c.Anomalies("over"); a.SplitViewRounds != 1 {
+		t.Errorf("coordinator recorded %d split-view rounds for the relay above SplitViewFactor, want 1", a.SplitViewRounds)
+	}
+	coordN, mergeN := c.cfg.Counters.Get("coord_anomaly_split_view_rounds"), ctr.Get("dirauth_split_view_relays")
+	if coordN != 1 || mergeN != coordN {
+		t.Errorf("coord_anomaly_split_view_rounds %d, dirauth_split_view_relays %d, want both 1", coordN, mergeN)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,34 +21,28 @@ import (
 )
 
 // RelaySource yields the relay population at the start of each round: the
-// consensus in a real deployment, a fixed list in tests and demos. The
-// returned estimates are only used for relays the coordinator has not yet
-// measured; afterwards its own medians take over as priors.
+// consensus in a real deployment, a fixed list in tests and demos.
+// AppendRelays appends it to buf, so the coordinator reuses one slice
+// across rounds: at million-relay sizes a fresh copy would be the control
+// plane's largest per-round allocation. The returned estimates are only
+// used for relays the coordinator has not yet measured; afterwards its
+// own medians take over as priors.
 type RelaySource interface {
-	Relays() []core.RelayEstimate
-}
-
-// RelayAppender is an optional RelaySource extension: sources that can
-// append the population into a caller-owned buffer let the coordinator
-// reuse one slice across rounds instead of allocating a fresh population
-// copy every period. At million-relay consensus sizes that copy is the
-// largest per-round allocation the control plane makes.
-type RelayAppender interface {
 	AppendRelays(buf []core.RelayEstimate) []core.RelayEstimate
 }
 
 // StaticRelays is a fixed relay population.
 type StaticRelays []core.RelayEstimate
 
-// Relays implements RelaySource.
-func (s StaticRelays) Relays() []core.RelayEstimate {
-	return append([]core.RelayEstimate(nil), s...)
-}
-
-// AppendRelays implements RelayAppender.
+// AppendRelays implements RelaySource.
 func (s StaticRelays) AppendRelays(buf []core.RelayEstimate) []core.RelayEstimate {
 	return append(buf, s...)
 }
+
+// anomalyRetainRounds is how many rounds a departed relay's §5 anomaly
+// counters are retained after it leaves the population, so a flapping
+// liar that rejoins inside the window keeps its accumulated record.
+const anomalyRetainRounds = 8
 
 // Config tunes the Coordinator. Zero values select the documented
 // defaults.
@@ -86,34 +79,19 @@ type Config struct {
 	// runs rounds 13 and 14.
 	MaxRounds int
 	// SnapshotDir, when set, receives a v3bw-style bandwidth-file
-	// snapshot every SnapshotEvery rounds (default every round).
-	SnapshotDir   string
-	SnapshotEvery int
-	// OnSnapshot, when set, receives each published round's merged
-	// bandwidth file at the SnapshotEvery cadence — the publication hook
-	// the HTTP observability plane uses to swap in a freshly rendered
-	// /v3bw body without the coordinator touching disk. It runs on the
-	// round goroutine (after the round's estimates are folded in) and
-	// must not retain the file past the call unless it owns the copy;
-	// the merged file is freshly built each publication, so retaining it
-	// is safe today, but renderers should copy-or-render promptly to
-	// keep the round loop unblocked.
+	// snapshot every round.
+	SnapshotDir string
+	// OnSnapshot, when set, receives every round's merged bandwidth
+	// file on the round goroutine, after the round's estimates are
+	// folded in — the hook the HTTP observability plane uses to swap in
+	// a freshly rendered /v3bw body. The file is built fresh each round
+	// and never written to afterwards, so the hook may keep it; it
+	// should render promptly to keep the round loop unblocked.
 	OnSnapshot func(round int, f *dirauth.BandwidthFile)
 	// Pool, when set, is pruned between rounds and surfaced in Status
 	// and round reports. The caller wires it into the wire backend's
 	// dialers with Pool.Dialer.
 	Pool *Pool
-	// AnomalyRetainRounds is how many rounds a departed relay's §5
-	// anomaly counters are retained after it leaves the population
-	// (default 8). A relay that departs and rejoins inside the window
-	// keeps its accumulated record — a flapping liar cannot reset its
-	// history by briefly leaving the consensus.
-	AnomalyRetainRounds int
-	// SplitViewFactor is the cross-BWAuth estimate divergence (max/min
-	// within one round) beyond which a relay is flagged for showing
-	// different teams different capacities (default 1.5; §5 selective
-	// lying). Zero selects the default; negative disables the check.
-	SplitViewFactor float64
 	// Store, when set, makes the coordinator's cross-round state durable:
 	// New recovers the store's state before the first round (priors,
 	// anomaly windows, round counter, the last published v3bw snapshot —
@@ -155,15 +133,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = 5 * time.Second
-	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 1
-	}
-	if cfg.AnomalyRetainRounds <= 0 {
-		cfg.AnomalyRetainRounds = 8
-	}
-	if cfg.SplitViewFactor == 0 {
-		cfg.SplitViewFactor = 1.5
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 1
@@ -282,8 +251,8 @@ type Coordinator struct {
 
 	// Round planning kept across rounds, touched only by Run's
 	// goroutine: the schedule builder, whose relay index is also the
-	// round's population membership test, and the population buffer
-	// (when the source supports AppendRelays). The round's job arena
+	// round's population membership test, and the population buffer the
+	// source appends into. The round's job arena
 	// and result collector are not kept: they are pointer-free, sized
 	// by the round, and dropped before the round's publication.
 	builder *core.ScheduleBuilder
@@ -312,12 +281,10 @@ type Coordinator struct {
 	priors   map[string]float64
 	last     *RoundReport
 	progress map[progressKey]*liveSlot
-	// anomalies is the coordinator's own windowed copy of per-relay §5
-	// defense counters: unlike the BWAuths' tables (pruned to the
-	// population each round), entries survive population churn for
-	// AnomalyRetainRounds rounds after the relay was last seen, so a
-	// relay cannot launder its record by flapping in and out of the
-	// consensus.
+	// anomalies is the one record of per-relay §5 defense evidence.
+	// Entries survive population churn for anomalyRetainRounds rounds
+	// after the relay was last seen, so a relay cannot launder its
+	// record by flapping in and out of the consensus.
 	anomalies map[string]*relayAnomaly
 }
 
@@ -391,10 +358,10 @@ func New(cfg Config, auths []*core.BWAuth, source RelaySource) (*Coordinator, er
 // the recovered round + 1), and the last published v3bw snapshot — if
 // one was checkpointed — is pushed through OnSnapshot so the
 // observability plane serves it before the first new round completes.
-// The BWAuths need no seeding here: every round seeds their priors from
-// the population, which substitutes the recovered priors, before any
-// slot runs, so the first round's doubling loops start from the earned
-// estimates instead of the new-relay percentile.
+// The BWAuths need no seeding here: every slot passes its relay's
+// population estimate, which is the recovered prior where there is one,
+// to MeasureTarget, so the first round's doubling loops start from the
+// earned estimates instead of the new-relay percentile.
 func (c *Coordinator) recover() error {
 	st, err := c.cfg.Store.Load()
 	if err != nil {
@@ -690,7 +657,7 @@ func (c *Coordinator) finishRound(rep *RoundReport) {
 	}
 	wantDisk := c.cfg.SnapshotDir != ""
 	wantHook := c.cfg.OnSnapshot != nil
-	if (wantDisk || wantHook) && rep.Round%c.cfg.SnapshotEvery == 0 {
+	if wantDisk || wantHook {
 		// Merge every BWAuth's bandwidth file exactly once per publication
 		// and fan the result out to both consumers: the hook gets the
 		// in-memory file (the observability plane renders and atomically
@@ -773,17 +740,13 @@ func (c *Coordinator) checkpoint() {
 // population builds this round's scheduler input: the source's relay list
 // with the coordinator's own medians substituted as priors for every
 // relay measured in a previous round — the feedback loop that lets an
-// accurate round shrink the next round's excess allocations. Sources
-// implementing RelayAppender fill the coordinator's reused buffer
+// accurate round shrink the next round's excess allocations. Every
+// entry leaves with a positive EstimateBps, the prior its slots pass to
+// MeasureTarget. The source fills the coordinator's reused buffer
 // instead of allocating a fresh copy each round.
 func (c *Coordinator) population() []core.RelayEstimate {
-	var relays []core.RelayEstimate
-	if ap, ok := c.source.(RelayAppender); ok {
-		c.popBuf = ap.AppendRelays(c.popBuf[:0])
-		relays = c.popBuf
-	} else {
-		relays = c.source.Relays()
-	}
+	c.popBuf = c.source.AppendRelays(c.popBuf[:0])
+	relays := c.popBuf
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := range relays {
@@ -846,18 +809,12 @@ func (c *Coordinator) recordAnomalies(relay string, counts core.AnomalyCounts) {
 	a.counts.Add(counts)
 	a.lastSeen = c.round
 	rnd := c.round
+	ctr.Set("coord_anomaly_relays", int64(len(c.anomalies)))
 	c.mu.Unlock()
-	ctr.Set("coord_anomaly_relays", int64(c.anomalyCount()))
 	// WAL the delta (not the accumulated total): replay re-accumulates,
 	// so evidence logged before a crash survives into the restart's
 	// windows exactly once.
 	c.appendStore(store.Record{Kind: store.KindAnomaly, Relay: relay, Round: rnd, Counts: counts})
-}
-
-func (c *Coordinator) anomalyCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.anomalies)
 }
 
 // Anomalies returns the relay's accumulated counters (present even while
@@ -954,25 +911,6 @@ func (c *Coordinator) runRound(ctx context.Context, round int) RoundReport {
 
 	population := c.population()
 	rep.Relays = len(population)
-	// Seed each BWAuth's measurement prior from the population estimate,
-	// so the first measurement's doubling loop starts from the same prior
-	// the schedule reserved capacity for. Priors are not publishable: a
-	// relay that fails every attempt stays out of the bandwidth file.
-	// Each BWAuth keeps its own prior table behind its own lock, so the
-	// per-auth sweeps shard cleanly across cores.
-	var priorWG sync.WaitGroup
-	for _, a := range c.auths {
-		priorWG.Add(1)
-		go func(a *core.BWAuth) {
-			defer priorWG.Done()
-			for _, r := range population {
-				if r.EstimateBps > 0 {
-					a.SetPrior(r.Name, r.EstimateBps)
-				}
-			}
-		}(a)
-	}
-	priorWG.Wait()
 
 	seed, err := c.roundSeed(round)
 	if err != nil {
@@ -1020,8 +958,11 @@ func (c *Coordinator) runRound(ctx context.Context, round int) RoundReport {
 	rep.Retries = col.retries
 	rep.RateLimited = col.rateLimited
 	rep.Unmeasured = append(rep.Unmeasured, col.unmeasured...)
+	// The round's medians and split-view check read this round's
+	// estimates only, not the BWAuths' views: a view also keeps the
+	// estimate of a BWAuth that measured the relay in an earlier round
+	// but not in this one.
 	medians := make(map[string]float64, len(population))
-	var splitView []string
 	ests := make([]float64, 0, len(c.auths))
 	for i := range population {
 		ests = col.relayEstimates(ests[:0], i)
@@ -1030,17 +971,11 @@ func (c *Coordinator) runRound(ctx context.Context, round int) RoundReport {
 		}
 		relay := population[i].Name
 		medians[relay] = stats.Median(ests)
-		// §5 selective lying: a relay showing different BWAuths
-		// significantly different capacities within one round.
-		if c.cfg.SplitViewFactor > 0 && len(ests) >= 2 {
-			lo, hi := slices.Min(ests), slices.Max(ests)
-			if lo > 0 && hi/lo > c.cfg.SplitViewFactor {
-				splitView = append(splitView, relay)
-			}
+		// §5 selective lying: the merge node's rule, over the estimates
+		// this round's BWAuths reported.
+		if dirauth.SplitView(ests, dirauth.SplitViewFactor) {
+			c.recordAnomalies(relay, core.AnomalyCounts{SplitViewRounds: 1})
 		}
-	}
-	for _, relay := range splitView {
-		c.recordAnomalies(relay, core.AnomalyCounts{SplitViewRounds: 1})
 	}
 	rep.Estimates = medians
 
@@ -1073,7 +1008,7 @@ func (c *Coordinator) runRound(ctx context.Context, round int) RoundReport {
 	}
 	// Anomaly records are retained across churn for the configured
 	// window: a relay still in the population refreshes its lastSeen; a
-	// departed relay's record survives AnomalyRetainRounds rounds, so
+	// departed relay's record survives anomalyRetainRounds rounds, so
 	// rejoining inside the window finds its history intact (the flapping
 	// liar cannot reset its record), and only a long-gone relay's entry
 	// is forgotten.
@@ -1087,7 +1022,7 @@ func (c *Coordinator) runRound(ctx context.Context, round int) RoundReport {
 				a.lastSeen = round
 				recs = append(recs, store.Record{Kind: store.KindAnomaly, Relay: name, Round: round})
 			}
-		} else if round-a.lastSeen > c.cfg.AnomalyRetainRounds {
+		} else if round-a.lastSeen > anomalyRetainRounds {
 			delete(c.anomalies, name)
 			recs = append(recs, store.Record{Kind: store.KindAnomalyDelete, Relay: name})
 		}
@@ -1167,7 +1102,7 @@ func (c *Coordinator) runJob(r *roundJobs, i int32) {
 	if c.cfg.SlotTimeout > 0 {
 		slotCtx, cancelSlot = context.WithTimeout(ctx, c.cfg.SlotTimeout)
 	}
-	out, err := auth.MeasureTarget(slotCtx, relay)
+	out, err := auth.MeasureTarget(slotCtx, relay, r.pop[j.relay].EstimateBps)
 	cancelSlot()
 	c.inFlight.Add(-1)
 	c.ctrInFlight.Add(-1)
@@ -1188,9 +1123,8 @@ func (c *Coordinator) runJob(r *roundJobs, i int32) {
 	// Fold the slot's §5 defense evidence into the windowed per-relay
 	// record — including failed slots: an echo-verification catch is the
 	// strongest signal there is. Derived with the measuring BWAuth's own
-	// Params (BWAuths are caller-constructed and may diverge from
-	// cfg.Params), so this window and the BWAuth's table always agree on
-	// the same outcome.
+	// Params, the ones its slot ran with (BWAuths are caller-constructed
+	// and may diverge from cfg.Params).
 	counts := core.OutcomeAnomalies(out, auth.Params)
 	if errors.Is(err, core.ErrMeasurementFailed) {
 		counts.EchoFailures++

@@ -12,6 +12,7 @@ import (
 
 	"flashflow/internal/core"
 	"flashflow/internal/dirauth"
+	"flashflow/internal/stats"
 )
 
 // readV3BW loads and parses a snapshot file.
@@ -276,6 +277,63 @@ func TestFailingSlotsRetriedThenReported(t *testing.T) {
 	}
 	if _, ok := rep.Estimates["dead"]; ok {
 		t.Fatal("dead must not have an estimate")
+	}
+}
+
+// TestRoundMedianUsesThisRoundsEstimates pins the stale-estimate rule:
+// BWAuths A and B both measure a relay in round 1; in round 2 A's slot
+// fails and only B measures it. Round 2's estimate and the relay's prior
+// are B's round-2 value alone, while the published merged file still
+// takes the median of A's round-1 and B's round-2 estimates, because A's
+// view keeps the estimate it last measured.
+func TestRoundMedianUsesThisRoundsEstimates(t *testing.T) {
+	p := testParams()
+	backA := newFakeBackend(map[string]float64{"r": 10e6})
+	backA.failFrom["r"] = 1 // round 1's one call concludes; round 2's fails
+	backB := newFakeBackend(map[string]float64{"r": 20e6})
+	a, b := testAuth("a", backA, p), testAuth("b", backB, p)
+	var reps []RoundReport
+	var published *dirauth.BandwidthFile
+	var aRound1 float64
+	c, err := New(Config{
+		Params:      p,
+		Workers:     2,
+		MaxAttempts: 1,
+		RetryBase:   time.Millisecond,
+		MaxRounds:   2,
+		OnSnapshot:  func(_ int, f *dirauth.BandwidthFile) { published = f },
+		OnRound: func(r RoundReport) {
+			reps = append(reps, r)
+			if r.Round == 1 {
+				aRound1, _ = a.Estimate("r")
+				backB.mu.Lock()
+				backB.capBps["r"] = 30e6
+				backB.mu.Unlock()
+			}
+		},
+	}, []*core.BWAuth{a, b}, StaticRelays{{Name: "r", EstimateBps: 10e6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(reps) != 2 || reps[0].Conclusive != 2 || reps[1].Conclusive != 1 || len(reps[1].Unmeasured) != 1 {
+		t.Fatalf("want two slots concluded in round 1 and only B's in round 2, got %+v", reps)
+	}
+	bRound2, _ := b.Estimate("r")
+	if aRound2, _ := a.Estimate("r"); aRound1 != 10e6 || aRound2 != aRound1 || bRound2 != 30e6 {
+		t.Fatalf("estimates A %g then %g, B %g; want A 10e6 kept and B 30e6", aRound1, aRound2, bRound2)
+	}
+	if got := reps[1].Estimates["r"]; got != bRound2 {
+		t.Errorf("round 2 estimate %g, want B's round-2 value %g alone", got, bRound2)
+	}
+	if got := c.Priors()["r"]; got != bRound2 {
+		t.Errorf("prior %g, want B's round-2 value %g alone", got, bRound2)
+	}
+	e, ok := published.Lookup("r")
+	if want := stats.Median([]float64{aRound1, bRound2}); !ok || e.CapacityBps != want {
+		t.Errorf("published capacity %g (listed %v), want the median %g of A's round-1 and B's round-2 estimates", e.CapacityBps, ok, want)
 	}
 }
 
@@ -717,7 +775,7 @@ type roundSource struct {
 	i    int
 }
 
-func (s *roundSource) Relays() []core.RelayEstimate {
+func (s *roundSource) AppendRelays(buf []core.RelayEstimate) []core.RelayEstimate {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	idx := s.i
@@ -725,7 +783,7 @@ func (s *roundSource) Relays() []core.RelayEstimate {
 		idx = len(s.pops) - 1
 	}
 	s.i++
-	return append([]core.RelayEstimate(nil), s.pops[idx]...)
+	return append(buf, s.pops[idx]...)
 }
 
 // TestDepartedRelaysPruned checks a relay that leaves the population stops

@@ -38,17 +38,20 @@ func (b *echoFailOnce) RunMeasurement(ctx context.Context, target string, alloc 
 
 // TestChurnKeepsOnlyThePopulation: relays leave and rejoin across
 // rounds. After every round each per-relay table — every BWAuth's
-// estimates and anomalies, the limiter's buckets, the coordinator's
-// priors and the round's estimates — holds exactly that round's
-// population, while the departed liar's anomaly record survives
-// AnomalyRetainRounds rounds and is then forgotten.
+// estimates, the limiter's buckets, the coordinator's priors and the
+// round's estimates — holds exactly that round's population, while the
+// departed liar's anomaly record survives anomalyRetainRounds rounds and
+// is then forgotten.
 func TestChurnKeepsOnlyThePopulation(t *testing.T) {
 	caps := map[string]float64{"a": 10e6, "b": 20e6, "c": 30e6, "liar": 15e6}
 	pops := map[int][]string{
 		1: {"a", "b", "c", "liar"},
-		2: {"a", "c"},      // b and liar depart
-		3: {"a", "b", "c"}, // b rejoins
-		4: {"a", "b", "c"}, // liar gone 3 rounds > the window of 2
+		2: {"a", "c"}, // b and liar depart
+	}
+	// b rejoins in round 3; in round 10 the liar, last seen in round 1,
+	// has been gone longer than the window.
+	for round := 3; round <= 2+anomalyRetainRounds; round++ {
+		pops[round] = []string{"a", "b", "c"}
 	}
 	p := testParams()
 	auths := []*core.BWAuth{
@@ -85,14 +88,9 @@ func TestChurnKeepsOnlyThePopulation(t *testing.T) {
 				}
 			}
 			keys(a.Name+" estimates", est)
-			for name := range a.AllAnomalies() {
-				if !slices.Contains(want, name) {
-					t.Errorf("round %d: %s keeps anomalies of departed %s", rep.Round, a.Name, name)
-				}
-			}
 		}
-		if _, ok := c.Anomalies("liar"); ok != (rep.Round <= 3) {
-			t.Errorf("round %d: liar's anomaly record present=%v, want %v", rep.Round, ok, rep.Round <= 3)
+		if _, ok := c.Anomalies("liar"); ok != (rep.Round <= 1+anomalyRetainRounds) {
+			t.Errorf("round %d: liar's anomaly record present=%v, want %v", rep.Round, ok, rep.Round <= 1+anomalyRetainRounds)
 		}
 		checked++
 	}
@@ -105,7 +103,6 @@ func TestChurnKeepsOnlyThePopulation(t *testing.T) {
 		RetryMax:            2 * time.Millisecond,
 		RelayAttemptsPerSec: 1e6,
 		RelayBurst:          10,
-		AnomalyRetainRounds: 2,
 		MaxRounds:           len(pops),
 		OnRound:             check,
 	}, auths, source)

@@ -8,8 +8,8 @@ import (
 
 // This file implements the §5 defense bookkeeping: per-team cross-checks
 // of member-reported vs target-reported bytes, and per-relay anomaly
-// counters derived from measurement outcomes. The counters are recorded
-// by BWAuth.MeasureTarget and surfaced operationally by internal/coord
+// counters derived from measurement outcomes. internal/coord records
+// the counters in its one per-relay table and surfaces them
 // (Status().Anomalies and the coord_anomaly_* metrics counters).
 
 // AnomalyCounts accumulates per-relay evidence of §5 misbehavior. Each

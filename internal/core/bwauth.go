@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -26,7 +25,7 @@ type BWAuth struct {
 	Backend Backend
 	Params  Params
 
-	// mu guards estimates, priors, history, and anomalies.
+	// mu guards estimates and history.
 	mu sync.Mutex
 	// teamGate serializes allocation commit/release against Team.
 	teamGate sync.Mutex
@@ -40,22 +39,9 @@ type BWAuth struct {
 	// linear copy in the order a bandwidth file keeps its entries.
 	names   []string
 	namesOK bool
-	// priors holds externally seeded starting points (advertised
-	// bandwidths, a coordinator's population estimates) for relays
-	// without a positive estimate, the only ones MeasureTarget reads a
-	// prior for; they are never published. An entry goes when the
-	// relay's first positive estimate lands, and the map itself (nil
-	// when empty) when its last entry does, so a measured population
-	// keeps no second per-relay table.
-	priors map[string]float64
 	// history holds last-month measured capacities, feeding the
 	// new-relay prior.
 	history []float64
-	// anomalies holds per-relay §5 defense counters (OutcomeAnomalies
-	// plus echo failures), recorded by MeasureTarget. Long-lived callers
-	// that must survive population churn (internal/coord) keep their own
-	// windowed copy; this table follows Retain like the estimates.
-	anomalies map[string]AnomalyCounts
 }
 
 // NewBWAuth creates a BWAuth with the given team and backend.
@@ -67,7 +53,6 @@ func NewBWAuth(name string, team []*Measurer, backend Backend, p Params) *BWAuth
 		Params:    p,
 		estimates: make(map[string]float64),
 		namesOK:   true,
-		anomalies: make(map[string]AnomalyCounts),
 	}
 }
 
@@ -88,50 +73,17 @@ func (b *BWAuth) SetEstimate(relayName string, bps float64) {
 	b.setEstimateLocked(relayName, bps)
 }
 
-// setEstimateLocked stores an estimate; b.mu must be held. A positive
-// estimate retires the relay's prior, which MeasureTarget no longer
-// reads.
+// setEstimateLocked stores an estimate; b.mu must be held.
 func (b *BWAuth) setEstimateLocked(relayName string, bps float64) {
 	if _, ok := b.estimates[relayName]; !ok {
 		b.namesOK = false
 	}
 	b.estimates[relayName] = bps
-	if bps > 0 && b.priors != nil {
-		delete(b.priors, relayName)
-		// Go maps never shrink: release the buckets once the last prior
-		// goes, or a map that once held a whole population keeps them.
-		if len(b.priors) == 0 {
-			b.priors = nil
-		}
-	}
 }
 
-// SetPrior seeds a measurement starting point for a relay without making
-// it publishable: the doubling loop uses it as z0 until the relay is
-// actually measured, but BandwidthFile never emits it. The continuous
-// coordinator seeds population estimates this way so a relay that fails
-// every measurement attempt is not reported with a fabricated capacity.
-// A relay that already has a positive estimate starts from that
-// estimate, so the call is a no-op for it.
-func (b *BWAuth) SetPrior(relayName string, bps float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.estimates[relayName] > 0 {
-		return
-	}
-	if b.priors == nil {
-		b.priors = make(map[string]float64)
-	}
-	b.priors[relayName] = bps
-}
-
-// Retain drops estimates, priors, and anomaly counters for every relay
-// keep rejects, so a long-lived deployment stops publishing relays that
-// left the consensus and does not grow its tables across population
-// churn. Callers that need anomaly evidence to survive churn (so a
-// flapping liar cannot reset its record by briefly departing) keep their
-// own windowed copy — internal/coord retains departed relays' counters
-// for a configurable number of rounds before forgetting them.
+// Retain drops the estimate of every relay keep rejects, so a long-lived
+// deployment stops publishing relays that left the consensus and does
+// not grow its table across population churn.
 func (b *BWAuth) Retain(keep func(relayName string) bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -145,72 +97,29 @@ func (b *BWAuth) Retain(keep func(relayName string) bool) {
 	if dropped && b.namesOK {
 		b.names = slices.DeleteFunc(b.names, func(name string) bool { return !keep(name) })
 	}
-	for name := range b.priors {
-		if !keep(name) {
-			delete(b.priors, name)
-		}
-	}
-	if len(b.priors) == 0 {
-		b.priors = nil
-	}
-	for name := range b.anomalies {
-		if !keep(name) {
-			delete(b.anomalies, name)
-		}
-	}
 }
 
-// Anomalies returns the accumulated §5 anomaly counters for a relay.
-func (b *BWAuth) Anomalies(relayName string) (AnomalyCounts, bool) {
+// MeasureTarget measures one relay and records the result. The doubling
+// loop starts from the BWAuth's own positive estimate of the relay; for
+// a relay without one it starts from prior if that is positive (the
+// continuous coordinator passes the population's estimate, so the first
+// allocation matches the capacity the schedule reserved), and otherwise
+// from the new-relay percentile prior. A prior is never published: a
+// relay that fails every attempt stays out of the bandwidth file.
+// Cancelling ctx tears down the in-flight slot promptly; a partial
+// estimate salvaged from a failed or interrupted slot is returned in the
+// outcome with the error but not recorded.
+func (b *BWAuth) MeasureTarget(ctx context.Context, relayName string, prior float64) (MeasureOutcome, error) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	a, ok := b.anomalies[relayName]
-	return a, ok
-}
-
-// AllAnomalies returns a copy of every relay's anomaly counters.
-func (b *BWAuth) AllAnomalies() map[string]AnomalyCounts {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[string]AnomalyCounts, len(b.anomalies))
-	for name, a := range b.anomalies {
-		out[name] = a
-	}
-	return out
-}
-
-// recordAnomalies folds one outcome's evidence into the relay's record.
-func (b *BWAuth) recordAnomalies(relayName string, c AnomalyCounts) {
-	if c.Total() == 0 {
-		return
-	}
-	b.mu.Lock()
-	cur := b.anomalies[relayName]
-	cur.Add(c)
-	b.anomalies[relayName] = cur
-	b.mu.Unlock()
-}
-
-// MeasureTarget measures one relay, using the stored estimate as the old-
-// relay prior or the percentile prior for new relays, and records the
-// result. Cancelling ctx tears down the in-flight slot promptly; a
-// partial estimate salvaged from the interrupted slot is still recorded.
-func (b *BWAuth) MeasureTarget(ctx context.Context, relayName string) (MeasureOutcome, error) {
-	b.mu.Lock()
-	z0, ok := b.estimates[relayName]
-	if !ok || z0 <= 0 {
-		z0, ok = b.priors[relayName]
-		if !ok || z0 <= 0 {
+	z0 := b.estimates[relayName]
+	if z0 <= 0 {
+		z0 = prior
+		if z0 <= 0 {
 			z0 = NewRelayPrior(b.history, b.Params)
 		}
 	}
 	b.mu.Unlock()
 	out, err := MeasureRelayGuarded(ctx, b.Backend, b.Team, &b.teamGate, relayName, z0, b.Params)
-	counts := OutcomeAnomalies(out, b.Params)
-	if errors.Is(err, ErrMeasurementFailed) {
-		counts.EchoFailures++
-	}
-	b.recordAnomalies(relayName, counts)
 	if err != nil {
 		return out, err
 	}
@@ -241,7 +150,7 @@ func (b *BWAuth) MeasureAll(ctx context.Context, relayNames []string) (map[strin
 	outcomes := make(map[string]MeasureOutcome, len(relayNames))
 	errs := make(map[string]error)
 	for _, name := range relayNames {
-		out, err := b.MeasureTarget(ctx, name)
+		out, err := b.MeasureTarget(ctx, name, 0)
 		if err != nil {
 			errs[name] = fmt.Errorf("bwauth %s: %w", b.Name, err)
 			continue

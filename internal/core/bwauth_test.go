@@ -19,7 +19,7 @@ func newTestBWAuth(name string, seed int64, targets map[string]float64) *BWAuth 
 func TestBWAuthMeasureTargetStoresEstimate(t *testing.T) {
 	a := newTestBWAuth("bw1", 1, map[string]float64{"r1": 200e6})
 	a.SetEstimate("r1", 200e6)
-	out, err := a.MeasureTarget(context.Background(), "r1")
+	out, err := a.MeasureTarget(context.Background(), "r1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestBWAuthNewRelayUsesPrior(t *testing.T) {
 	// prior (falling back to 50 Mbit/s) and still converges on a 400
 	// Mbit/s relay via the doubling loop.
 	a := newTestBWAuth("bw1", 2, map[string]float64{"fresh": 400e6})
-	out, err := a.MeasureTarget(context.Background(), "fresh")
+	out, err := a.MeasureTarget(context.Background(), "fresh", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestBWAuthForgingRelayReportedAsError(t *testing.T) {
 func TestBWAuthHistoryFeedsPrior(t *testing.T) {
 	a := newTestBWAuth("bw", 31, map[string]float64{"x": 100e6})
 	a.SetEstimate("x", 100e6)
-	if _, err := a.MeasureTarget(context.Background(), "x"); err != nil {
+	if _, err := a.MeasureTarget(context.Background(), "x", 0); err != nil {
 		t.Fatal(err)
 	}
 	prior := NewRelayPrior(a.history, a.Params)
@@ -168,40 +168,46 @@ func TestBWAuthHistoryFeedsPrior(t *testing.T) {
 	}
 }
 
-// TestPriorsKeptOnlyWhereRead pins the prior table's rule: MeasureTarget
-// reads a prior only for a relay without a positive estimate, so a
-// positive estimate retires the prior, SetPrior is a no-op for such a
-// relay, Retain drops departed relays' priors, and an emptied table
-// releases its map.
-func TestPriorsKeptOnlyWhereRead(t *testing.T) {
-	a := newTestBWAuth("bw1", 4, nil)
-	a.SetPrior("x", 5e6)
-	a.SetPrior("y", 6e6)
-	if len(a.priors) != 2 {
-		t.Fatalf("priors %v, want x and y", a.priors)
+// firstAllocRecorder records the total allocation of the first slot
+// each relay is offered.
+type firstAllocRecorder struct {
+	Backend
+	first map[string]float64
+}
+
+func (r *firstAllocRecorder) RunMeasurement(ctx context.Context, target string, alloc Allocation, seconds int, sink SampleSink) (MeasurementData, error) {
+	if _, ok := r.first[target]; !ok {
+		r.first[target] = alloc.TotalBps
 	}
-	a.SetEstimate("x", 0)
-	if _, ok := a.priors["x"]; !ok {
-		t.Fatal("a non-positive estimate retired the prior MeasureTarget still reads")
-	}
-	a.SetEstimate("x", 7e6)
-	if _, ok := a.priors["x"]; ok {
-		t.Fatal("a positive estimate left its prior behind")
-	}
-	a.SetPrior("x", 9e6)
-	if _, ok := a.priors["x"]; ok {
-		t.Fatal("SetPrior stored a prior for a relay with a positive estimate")
-	}
-	a.Retain(func(name string) bool { return name == "x" })
-	if a.priors != nil {
-		t.Fatalf("priors %v after Retain dropped the last one, want the map released", a.priors)
-	}
-	if est, ok := a.Estimate("x"); !ok || est != 7e6 {
-		t.Fatalf("Retain dropped a kept relay's estimate: %v %v", est, ok)
-	}
-	a.SetPrior("z", 1e6)
-	a.SetEstimate("z", 2e6)
-	if a.priors != nil {
-		t.Fatalf("priors %v after the last prior's relay was measured, want the map released", a.priors)
+	return r.Backend.RunMeasurement(ctx, target, alloc, seconds, sink)
+}
+
+// TestMeasureTargetStartingPrior pins where the doubling loop's z0 comes
+// from: the BWAuth's positive estimate, ignoring the caller's prior; for
+// a relay without one, the caller's positive prior; with neither, the
+// new-relay percentile of the BWAuth's history.
+func TestMeasureTargetStartingPrior(t *testing.T) {
+	p := DefaultParams()
+	rec := &firstAllocRecorder{Backend: newFixedBackend(len(paperTeam()), p.SlotSeconds, 100e6/8), first: map[string]float64{}}
+	a := NewBWAuth("bw1", paperTeam(), rec, p)
+	a.history = []float64{10e6, 20e6, 30e6, 40e6}
+	a.SetEstimate("known", 60e6)
+	a.SetEstimate("zeroed", 0)
+	for _, tc := range []struct {
+		relay     string
+		prior, z0 float64
+	}{
+		// First, while the history is still the one seeded above.
+		{"unseeded", 0, NewRelayPrior(a.history, p)},
+		{"known", 5e6, 60e6},
+		{"fresh", 5e6, 5e6},
+		{"zeroed", 7e6, 7e6},
+	} {
+		if _, err := a.MeasureTarget(context.Background(), tc.relay, tc.prior); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rec.first[tc.relay], RequiredBps(tc.z0, p); got != want {
+			t.Errorf("%s with prior %g: first allocation %g, want RequiredBps(%g) = %g", tc.relay, tc.prior, got, tc.z0, want)
+		}
 	}
 }

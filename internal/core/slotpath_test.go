@@ -72,7 +72,7 @@ func TestMeasureTargetAllocationBudget(t *testing.T) {
 	var out MeasureOutcome
 	var err error
 	allocs := testing.AllocsPerRun(200, func() {
-		out, err = a.MeasureTarget(context.Background(), "relay")
+		out, err = a.MeasureTarget(context.Background(), "relay", 0)
 	})
 	if err != nil || !out.Conclusive || len(out.Attempts) != 1 {
 		t.Fatalf("want one conclusive attempt, got %+v, %v", out, err)
@@ -175,7 +175,7 @@ func TestBandwidthFileViewOrder(t *testing.T) {
 		case op < 4:
 			a.SetEstimate(name(), float64(1+rng.Intn(1000))*1e6)
 		case op < 7:
-			if _, err := a.MeasureTarget(context.Background(), name()); err != nil {
+			if _, err := a.MeasureTarget(context.Background(), name(), 0); err != nil {
 				t.Fatal(err)
 			}
 		case op < 9:

@@ -185,24 +185,52 @@ func eachRelay(files []*BandwidthFile, fn func(name string, es []BandwidthEntry)
 	}
 }
 
+// SplitViewFactor is the §5 split-view threshold: a relay whose
+// capacity across BWAuths spans more than this ratio (max/min) is
+// flagged for showing different teams different capacities.
+const SplitViewFactor = 1.5
+
+// SplitView is the one split-view rule. It flags a relay whose per-view
+// values number at least two, whose smallest is positive and whose
+// largest exceeds factor times the smallest; a negative factor flags
+// nothing. The first value sets the bounds and a later NaN is passed
+// over, so NaN never makes a relay a suspect on its own.
+func SplitView(vals []float64, factor float64) bool {
+	if factor < 0 || len(vals) < 2 {
+		return false
+	}
+	// Explicit comparisons rather than min/max: a NaN must not poison
+	// the bounds.
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals[1:] {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return lo > 0 && hi/lo > factor
+}
+
 // medianMerge is the one pass behind MergeMedianFile, MedianCapacities and
 // the merge node's split-view check. Per relay it takes the median of the
 // positive capacities across files (the mean of the middle two for an
-// even count) as both weight and capacity, skipping relays with none. If
-// splitFactor is non-negative it also returns, in name order, the relays
-// that at least two files list and whose capacity — the weight for a
-// weights-only entry — spans more than splitFactor (max/min).
+// even count) as both weight and capacity, skipping relays with none. It
+// also returns, in name order, the relays SplitView flags at splitFactor
+// over their capacities in file order — the weight for a weights-only
+// entry.
 func medianMerge(files []*BandwidthFile, splitFactor float64) (merged []BandwidthEntry, split []string) {
 	longest := 0
 	for _, f := range files {
 		longest = max(longest, len(f.Entries))
 	}
 	merged = make([]BandwidthEntry, 0, longest)
+	caps := make([]float64, 0, len(files))
+	vals := make([]float64, 0, len(files))
 	eachRelay(files, func(name string, es []BandwidthEntry) {
-		var capBuf [8]float64
-		caps := capBuf[:0]
-		lo, hi := 0.0, 0.0
-		for i, e := range es {
+		caps, vals = caps[:0], vals[:0]
+		for _, e := range es {
 			if e.CapacityBps > 0 {
 				caps = append(caps, e.CapacityBps)
 			}
@@ -210,28 +238,13 @@ func medianMerge(files []*BandwidthFile, splitFactor float64) (merged []Bandwidt
 			if c <= 0 {
 				c = e.WeightBps
 			}
-			// Explicit comparisons rather than min/max: a NaN must not
-			// poison the bounds.
-			if i == 0 {
-				lo, hi = c, c
-			}
-			if c < lo {
-				lo = c
-			}
-			if c > hi {
-				hi = c
-			}
+			vals = append(vals, c)
 		}
 		if len(caps) > 0 {
-			slices.Sort(caps)
-			n := len(caps)
-			m := caps[n/2]
-			if n%2 == 0 {
-				m = (caps[n/2-1] + caps[n/2]) / 2
-			}
+			m := stats.Median(caps)
 			merged = append(merged, BandwidthEntry{Name: name, WeightBps: m, CapacityBps: m})
 		}
-		if splitFactor >= 0 && len(es) >= 2 && lo > 0 && hi/lo > splitFactor {
+		if SplitView(vals, splitFactor) {
 			split = append(split, name)
 		}
 	})

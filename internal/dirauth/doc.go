@@ -19,4 +19,7 @@
 // single compromised team from controlling a relay's consensus weight —
 // as one k-way merge over the sorted views, the same pass that
 // MedianCapacities and the merge node's split-view check use.
+// SplitView, at SplitViewFactor, is the one §5 split-view rule: the merge
+// node applies it to the submitted views and internal/coord to one
+// round's per-BWAuth estimates, so both give a relay the same verdict.
 package dirauth

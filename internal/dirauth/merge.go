@@ -72,11 +72,6 @@ type MergeConfig struct {
 	// Producer names the merged file's producer header (default
 	// "dirauth").
 	Producer string
-	// SplitViewFactor is the cross-view divergence ratio (max/min of a
-	// relay's capacity across fresh views) above which the relay is
-	// flagged as a §5 split-view suspect at the merge boundary. Zero
-	// selects the default 1.5; negative disables the check.
-	SplitViewFactor float64
 	// Now supplies the clock (default time.Now). Tests inject a fake to
 	// drive the freshness window deterministically.
 	Now func() time.Time
@@ -110,7 +105,7 @@ type Merged struct {
 	// Views lists the contributing BWAuths, sorted.
 	Views []string
 	// SplitView lists relays whose capacity diverged across views beyond
-	// SplitViewFactor, sorted.
+	// SplitViewFactor (the SplitView rule), sorted.
 	SplitView []string
 	// File is the merged bandwidth file; Body/ETag are its rendered form.
 	File *BandwidthFile
@@ -141,9 +136,6 @@ func NewMergeService(cfg MergeConfig) (*MergeService, error) {
 	}
 	if cfg.Producer == "" {
 		cfg.Producer = "dirauth"
-	}
-	if cfg.SplitViewFactor == 0 {
-		cfg.SplitViewFactor = 1.5
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -298,8 +290,9 @@ func (m *MergeService) remergeLocked() (*Merged, error) {
 	// node compares the relay's capacity across the independent BWAuths'
 	// views. A relay showing one capacity to some BWAuths and a
 	// significantly different one to others — the selective-lying attack
-	// — diverges past SplitViewFactor and is flagged.
-	entries, split := medianMerge(files, m.cfg.SplitViewFactor)
+	// — diverges past SplitViewFactor and is flagged. Both sites apply
+	// the one SplitView rule.
+	entries, split := medianMerge(files, SplitViewFactor)
 	merged := &Merged{
 		Round:     round,
 		Views:     names,

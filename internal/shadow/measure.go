@@ -56,7 +56,7 @@ func MeasureWithFlashFlow(ctx context.Context, relays []RelaySpec, seed int64) (
 	}
 	weights := make([]float64, len(relays))
 	for i, name := range names {
-		out, err := auth.MeasureTarget(ctx, name)
+		out, err := auth.MeasureTarget(ctx, name, 0)
 		if err != nil {
 			return nil, fmt.Errorf("flashflow measure %s: %w", name, err)
 		}

@@ -787,11 +787,12 @@ func (c *Coordinator) roundSeed(round int) ([]byte, error) {
 const maxCapacityDeferrals = 8
 
 // recordAnomalies folds one relay's new §5 evidence into the windowed
-// table and the operational counters. Zero-count records still refresh
-// lastSeen implicitly via the retention sweep; they are not stored.
-func (c *Coordinator) recordAnomalies(relay string, counts core.AnomalyCounts) {
+// table and the operational counters, and returns the WAL record of the
+// delta for the caller to log. Zero counts are neither folded nor logged
+// (ok is false): the retention sweep refreshes lastSeen on its own.
+func (c *Coordinator) recordAnomalies(relay string, counts core.AnomalyCounts) (rec store.Record, ok bool) {
 	if counts.Total() == 0 {
-		return
+		return store.Record{}, false
 	}
 	ctr := c.cfg.Counters
 	ctr.Add("coord_anomaly_clamped_seconds", counts.ClampedSeconds)
@@ -811,10 +812,10 @@ func (c *Coordinator) recordAnomalies(relay string, counts core.AnomalyCounts) {
 	rnd := c.round
 	ctr.Set("coord_anomaly_relays", int64(len(c.anomalies)))
 	c.mu.Unlock()
-	// WAL the delta (not the accumulated total): replay re-accumulates,
-	// so evidence logged before a crash survives into the restart's
-	// windows exactly once.
-	c.appendStore(store.Record{Kind: store.KindAnomaly, Relay: relay, Round: rnd, Counts: counts})
+	// The delta, not the accumulated total: replay re-accumulates, so
+	// evidence logged before a crash survives into the restart's windows
+	// exactly once.
+	return store.Record{Kind: store.KindAnomaly, Relay: relay, Round: rnd, Counts: counts}, true
 }
 
 // Anomalies returns the relay's accumulated counters (present even while
@@ -958,6 +959,11 @@ func (c *Coordinator) runRound(ctx context.Context, round int) RoundReport {
 	rep.Retries = col.retries
 	rep.RateLimited = col.rateLimited
 	rep.Unmeasured = append(rep.Unmeasured, col.unmeasured...)
+	// The round's WAL batch: the split-view evidence and the medians
+	// folded in, plus the retention sweep's deletions and refreshes.
+	// Built per round and dropped with it, like the arena and the
+	// collector.
+	recs := make([]store.Record, 0, len(population)+len(population)/8)
 	// The round's medians and split-view check read this round's
 	// estimates only, not the BWAuths' views: a view also keeps the
 	// estimate of a BWAuth that measured the relay in an earlier round
@@ -974,15 +980,13 @@ func (c *Coordinator) runRound(ctx context.Context, round int) RoundReport {
 		// §5 selective lying: the merge node's rule, over the estimates
 		// this round's BWAuths reported.
 		if dirauth.SplitView(ests, dirauth.SplitViewFactor) {
-			c.recordAnomalies(relay, core.AnomalyCounts{SplitViewRounds: 1})
+			if rec, ok := c.recordAnomalies(relay, core.AnomalyCounts{SplitViewRounds: 1}); ok {
+				recs = append(recs, rec)
+			}
 		}
 	}
 	rep.Estimates = medians
 
-	// The round's WAL batch: the medians folded in plus the retention
-	// sweep's deletions and refreshes. Built per round and dropped with
-	// it, like the arena and the collector.
-	recs := make([]store.Record, 0, len(medians)+len(medians)/8)
 	c.mu.Lock()
 	for relay, m := range medians {
 		c.priors[relay] = m
@@ -1129,7 +1133,9 @@ func (c *Coordinator) runJob(r *roundJobs, i int32) {
 	if errors.Is(err, core.ErrMeasurementFailed) {
 		counts.EchoFailures++
 	}
-	c.recordAnomalies(relay, counts)
+	if rec, ok := c.recordAnomalies(relay, counts); ok {
+		c.appendStore(rec)
+	}
 
 	if err != nil {
 		ctr.Inc("coord_slot_errors")

@@ -3,6 +3,7 @@ package coord
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -282,5 +283,78 @@ func TestCheckpointMatchesLiveState(t *testing.T) {
 		if rec.Counts != live[name].counts || rec.LastSeen != live[name].lastSeen {
 			t.Fatalf("stored %s = %+v, live %+v", name, rec, live[name])
 		}
+	}
+}
+
+// countingStore counts the Append batches and records that reach the
+// wrapped store.
+type countingStore struct {
+	*store.MemStore
+	appends, records int
+}
+
+func (s *countingStore) Append(recs ...store.Record) error {
+	s.appends++
+	s.records += len(recs)
+	return s.MemStore.Append(recs...)
+}
+
+// TestSplitViewEvidenceBatched: a round whose every relay shows its three
+// BWAuths divergent capacities logs that evidence in the round's one WAL
+// batch, not one append per relay, and a coordinator recovered from the
+// store holds the same anomaly table.
+func TestSplitViewEvidenceBatched(t *testing.T) {
+	const relays = 50
+	p := testParams()
+	var auths []*core.BWAuth
+	var population StaticRelays
+	for b, factor := range []float64{1, 2, 4} {
+		caps := make(map[string]float64, relays)
+		for i := 0; i < relays; i++ {
+			name := fmt.Sprintf("r%02d", i)
+			caps[name] = factor * 10e6
+			if b == 0 {
+				population = append(population, core.RelayEstimate{Name: name, EstimateBps: 20e6})
+			}
+		}
+		auths = append(auths, testAuth(fmt.Sprintf("bw%d", b), newFakeBackend(caps), p))
+	}
+	cs := &countingStore{MemStore: store.NewMem()}
+	cfg := persistConfig(cs, 1)
+	cfg.CheckpointEvery = 2
+	// Before Run's closing checkpoint, the round's records are still in
+	// the WAL: keep the state replaying them yields.
+	var replayed *store.State
+	cfg.OnRound = func(RoundReport) {
+		var err error
+		if replayed, err = cs.Load(); err != nil {
+			t.Error(err)
+		}
+	}
+	c, err := New(cfg, auths, population)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := anomalyView(c)
+	if len(want) != relays {
+		t.Fatalf("%d relays flagged, want all %d", len(want), relays)
+	}
+	// The KindRound marker, then one batch: 50 anomaly and 50 prior
+	// records.
+	if cs.appends != 2 || cs.records != 2*relays+1 {
+		t.Errorf("round made %d store appends of %d records, want 2 of %d", cs.appends, cs.records, 2*relays+1)
+	}
+
+	ms := store.NewMem()
+	ms.Seed(replayed)
+	recovered, err := New(persistConfig(ms, 1), auths, population)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := anomalyView(recovered); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered anomaly table differs:\n got %+v\nwant %+v", got, want)
 	}
 }

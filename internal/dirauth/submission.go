@@ -95,8 +95,8 @@ func (s *Submission) Encode() []byte {
 //
 // The returned Body and Sig alias p, so the caller hands p over: it must
 // not modify p afterwards. An rpc handler's request payload is a fresh
-// buffer per frame (rpc.ReadFrame), so the body crosses from the wire
-// into the merge node's accepted view without a copy.
+// buffer per frame (wire.ReadFrame without scratch), so the body crosses
+// from the wire into the merge node's accepted view without a copy.
 func DecodeSubmission(p []byte) (*Submission, error) {
 	var s Submission
 	if len(p) < 2+8+2 {

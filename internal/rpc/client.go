@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"context"
-	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"io"
@@ -30,9 +29,6 @@ type ClientConfig struct {
 	// client side of the control plane belongs to the coordinator
 	// metric family).
 	CounterPrefix string
-	// VersionMin/VersionMax override the advertised version range; zero
-	// selects the package defaults. Tests use this to provoke skew.
-	VersionMin, VersionMax uint16
 }
 
 // Client is a connection-caching RPC client: one authenticated connection,
@@ -43,10 +39,9 @@ type ClientConfig struct {
 type Client struct {
 	cfg ClientConfig
 
-	mu      sync.Mutex
-	conn    io.ReadWriteCloser
-	version uint16
-	closed  bool
+	mu     sync.Mutex
+	conn   io.ReadWriteCloser
+	closed bool
 }
 
 // deadliner is the optional transport capability used to map call-context
@@ -66,12 +61,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.CounterPrefix == "" {
 		cfg.CounterPrefix = "coord_rpc"
-	}
-	if cfg.VersionMin == 0 {
-		cfg.VersionMin = VersionMin
-	}
-	if cfg.VersionMax == 0 {
-		cfg.VersionMax = VersionMax
 	}
 	for _, name := range []string{
 		"_dials", "_dial_errors", "_calls", "_call_errors",
@@ -135,13 +124,12 @@ func (c *Client) connectLocked(ctx context.Context) error {
 		return fmt.Errorf("rpc: dial: %w", err)
 	}
 	c.applyDeadline(conn, ctx)
-	version, err := c.handshake(conn)
-	if err != nil {
+	if err := wire.ClientHandshake(conn, &plane, c.cfg.Identity); err != nil {
 		conn.Close()
 		c.count("_dial_errors", 1)
 		return err
 	}
-	c.conn, c.version = conn, version
+	c.conn = conn
 	return nil
 }
 
@@ -159,51 +147,6 @@ func (c *Client) applyDeadline(conn io.ReadWriteCloser, ctx context.Context) {
 	}
 }
 
-// handshake runs hello/welcome negotiation and the nonce-signature auth.
-func (c *Client) handshake(conn io.ReadWriter) (uint16, error) {
-	hello := make([]byte, 0, len(helloMagic)+4)
-	hello = append(hello, helloMagic...)
-	hello = append(hello, byte(c.cfg.VersionMin>>8), byte(c.cfg.VersionMin),
-		byte(c.cfg.VersionMax>>8), byte(c.cfg.VersionMax))
-	if err := WriteFrame(conn, FrameHello, hello); err != nil {
-		return 0, err
-	}
-	t, p, err := ReadFrame(conn)
-	if err != nil {
-		return 0, err
-	}
-	if t == FrameReject {
-		return 0, fmt.Errorf("%w (server: %s)", ErrVersionSkew, p)
-	}
-	if t != FrameWelcome || len(p) != 2+nonceLen {
-		return 0, ErrBadFrame
-	}
-	version := uint16(p[0])<<8 | uint16(p[1])
-	if version < c.cfg.VersionMin || version > c.cfg.VersionMax {
-		return 0, ErrVersionSkew
-	}
-	nonce := p[2:]
-
-	sig := ed25519.Sign(c.cfg.Identity.Priv, AuthMessage(version, nonce))
-	auth := make([]byte, 0, len(c.cfg.Identity.Pub)+len(sig))
-	auth = append(auth, c.cfg.Identity.Pub...)
-	auth = append(auth, sig...)
-	if err := WriteFrame(conn, FrameAuth, auth); err != nil {
-		return 0, err
-	}
-	t, p, err = ReadFrame(conn)
-	if err != nil {
-		return 0, err
-	}
-	if t == FrameReject {
-		return 0, fmt.Errorf("%w (server: %s)", ErrAuthRejected, p)
-	}
-	if t != FrameAuthOK {
-		return 0, ErrBadFrame
-	}
-	return version, nil
-}
-
 // roundTripLocked sends one request frame and reads its reply. Called
 // with c.mu held and a live connection.
 func (c *Client) roundTripLocked(ctx context.Context, method uint8, body []byte) ([]byte, error) {
@@ -211,10 +154,10 @@ func (c *Client) roundTripLocked(ctx context.Context, method uint8, body []byte)
 	req := make([]byte, 1+len(body))
 	req[0] = method
 	copy(req[1:], body)
-	if err := WriteFrame(c.conn, FrameRequest, req); err != nil {
+	if err := wire.WriteFrame(c.conn, plane.MaxPayload, FrameRequest, req); err != nil {
 		return nil, err
 	}
-	t, p, err := ReadFrame(c.conn)
+	t, p, err := wire.ReadFrame(c.conn, plane.MaxPayload, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -223,10 +166,8 @@ func (c *Client) roundTripLocked(ctx context.Context, method uint8, body []byte)
 		return p, nil
 	case FrameError:
 		return nil, &ServerError{Msg: string(p)}
-	case FrameReject:
-		return nil, fmt.Errorf("%w (server: %s)", ErrAuthRejected, p)
 	default:
-		return nil, ErrBadFrame
+		return nil, wire.ErrBadFrame
 	}
 }
 
@@ -236,17 +177,6 @@ func (c *Client) dropLocked() {
 		c.conn.Close()
 		c.conn = nil
 	}
-}
-
-// Version reports the negotiated protocol version of the live connection
-// (zero when disconnected).
-func (c *Client) Version() uint16 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return 0
-	}
-	return c.version
 }
 
 // Close discards the cached connection and marks the client closed.

@@ -7,15 +7,14 @@
 //
 // The paper's deployment model (§4.3) is multiple independent BWAuths
 // whose per-view measurements a directory authority merges; this package
-// is the wire between those processes. The protocol deliberately mirrors
-// the measurement plane's wire handshake primitives (internal/wire): the
-// same ed25519 Identity type, the same nonce-challenge authentication
-// shape, and the same single-write length-prefixed framing — with two
-// additions the measurement plane does not need: an explicit version
-// negotiation (hello/welcome) so mixed-version fleets fail closed instead
-// of misparsing each other, and the negotiated version bound into the
-// client's auth signature so a downgrade cannot be spliced in between
-// hello and auth.
+// is the wire between those processes. Framing and authentication are
+// internal/wire's, the same codec and handshake the measurement plane
+// runs, under the control plane's own wire.Plane: its "FFRP" magic, its
+// "flashflow-rpc-auth" signature domain and a payload bound sized for
+// whole bandwidth files. A measurement-plane peer is refused at its first
+// frame, and no signature made on one plane verifies on the other. This
+// package adds only the request, response and error frames and the
+// connection-caching client and server around them.
 //
 // Layering follows the interface-first transport separation used across
 // the repo: Client dials through a caller-supplied Dial func and Server
@@ -26,6 +25,6 @@
 // payloads it carries are additionally signed end-to-end by the submitting
 // BWAuth (internal/dirauth.Submission), so the merge node's acceptance
 // decisions never rest on transport identity alone. See DESIGN.md
-// "Distributed control plane" for the frame grammar and the merge
-// invariants.
+// "Authenticated connections" for the frame grammar and "Distributed
+// control plane" for the merge invariants.
 package rpc

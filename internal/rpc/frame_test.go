@@ -2,128 +2,35 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
+
+	"flashflow/internal/wire"
 )
 
-// TestTornFrame mirrors the durable store's torn-tail discipline at the
-// RPC layer: a valid frame stream cut at every possible byte offset must
-// produce either a complete frame followed by io.EOF (cut exactly at a
-// frame boundary) or a clean truncation error — never a garbage frame
-// and never a hang.
-func TestTornFrame(t *testing.T) {
-	var full bytes.Buffer
-	if err := WriteFrame(&full, FrameRequest, []byte("first-payload")); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(&full, FrameResponse, bytes.Repeat([]byte{0xEE}, 300)); err != nil {
-		t.Fatal(err)
-	}
-	stream := full.Bytes()
-	boundary1 := frameHeaderLen + len("first-payload")
-
-	for cut := 0; cut <= len(stream); cut++ {
-		r := bytes.NewReader(stream[:cut])
-		var framesRead int
-		var finalErr error
-		for {
-			ft, payload, err := ReadFrame(r)
-			if err != nil {
-				finalErr = err
-				break
-			}
-			switch framesRead {
-			case 0:
-				if ft != FrameRequest || string(payload) != "first-payload" {
-					t.Fatalf("cut=%d: frame 0 corrupted: type=%d payload=%q", cut, ft, payload)
-				}
-			case 1:
-				if ft != FrameResponse || len(payload) != 300 {
-					t.Fatalf("cut=%d: frame 1 corrupted: type=%d len=%d", cut, ft, len(payload))
-				}
-			default:
-				t.Fatalf("cut=%d: phantom frame %d", cut, framesRead)
-			}
-			framesRead++
-		}
-		wantFrames := 0
-		if cut >= boundary1 {
-			wantFrames = 1
-		}
-		if cut == len(stream) {
-			wantFrames = 2
-		}
-		if framesRead != wantFrames {
-			t.Fatalf("cut=%d: read %d frames, want %d", cut, framesRead, wantFrames)
-		}
-		atBoundary := cut == 0 || cut == boundary1 || cut == len(stream)
-		if atBoundary {
-			if finalErr != io.EOF {
-				t.Fatalf("cut=%d (boundary): err = %v, want io.EOF", cut, finalErr)
-			}
-		} else if !errors.Is(finalErr, io.ErrUnexpectedEOF) {
-			t.Fatalf("cut=%d (torn): err = %v, want io.ErrUnexpectedEOF", cut, finalErr)
-		}
-	}
-}
-
+// TestFrameTooLarge pins the control plane's payload bound: a body over
+// it is refused on write, and a header declaring one byte more is refused
+// on read before the reader allocates for it.
 func TestFrameTooLarge(t *testing.T) {
-	if err := WriteFrame(io.Discard, FrameRequest, make([]byte, MaxPayload+1)); !errors.Is(err, ErrFrameTooLarge) {
+	max := plane.MaxPayload
+	if err := wire.WriteFrame(io.Discard, max, FrameRequest, make([]byte, max+1)); !errors.Is(err, wire.ErrFrameTooLarge) {
 		t.Fatalf("write oversized = %v, want ErrFrameTooLarge", err)
 	}
-	// A hostile length prefix must be refused before any allocation.
-	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF, byte(FrameRequest)}
-	if _, _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("read hostile length = %v, want ErrFrameTooLarge", err)
-	}
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	cases := [][]byte{nil, {}, {0}, []byte("payload"), bytes.Repeat([]byte{7}, 65536)}
-	for _, payload := range cases {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, FrameAuth, payload); err != nil {
-			t.Fatal(err)
+	for _, n := range []uint32{uint32(max) + 1, 0xFFFFFFFF} {
+		hdr := binary.BigEndian.AppendUint32(nil, n)
+		hdr = append(hdr, byte(FrameRequest))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := wire.ReadFrame(bytes.NewReader(hdr), max, nil)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, wire.ErrFrameTooLarge) {
+			t.Fatalf("read declared length %d = %v, want ErrFrameTooLarge", n, err)
 		}
-		ft, got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ft != FrameAuth || !bytes.Equal(got, payload) {
-			t.Fatalf("round-trip mismatch: type=%d len(got)=%d len(want)=%d", ft, len(got), len(payload))
+		if allocated := after.TotalAlloc - before.TotalAlloc; allocated >= uint64(max) {
+			t.Fatalf("declared length %d: allocated %d bytes before refusing", n, allocated)
 		}
 	}
-}
-
-// FuzzReadFrame feeds arbitrary bytes to the frame reader: it must never
-// panic, and whatever it parses must re-encode to the bytes it consumed.
-func FuzzReadFrame(f *testing.F) {
-	var seed bytes.Buffer
-	_ = WriteFrame(&seed, FrameRequest, []byte("seed"))
-	f.Add(seed.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 1})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{0, 0, 0, 2, 6, 1})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		consumed := 0
-		for {
-			ft, payload, err := ReadFrame(r)
-			if err != nil {
-				break
-			}
-			var re bytes.Buffer
-			if werr := WriteFrame(&re, ft, payload); werr != nil {
-				t.Fatalf("re-encode of parsed frame failed: %v", werr)
-			}
-			end := consumed + re.Len()
-			if end > len(data) || !bytes.Equal(re.Bytes(), data[consumed:end]) {
-				t.Fatalf("parsed frame does not re-encode to its source bytes at offset %d", consumed)
-			}
-			consumed = end
-		}
-	})
 }

@@ -3,60 +3,33 @@ package rpc
 import (
 	"crypto/ed25519"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 
 	"flashflow/internal/wire"
 )
 
-// Protocol version bounds this build speaks. A connection negotiates the
-// highest version inside both sides' ranges during the hello exchange and
-// fails closed (ErrVersionSkew) when the ranges are disjoint, so a
-// mixed-version fleet degrades to an explicit error instead of one side
-// misparsing the other's frames.
+// plane is the control plane's handshake and framing: wire's handshake
+// under its own magic and signature domain, so a measurement-plane peer
+// is refused at its first frame and no signature crosses planes. Its
+// payload bound is sized for bandwidth files, not for control chatter: a
+// submission carries a whole v3bw body (a million-relay view is ~50 MB).
+var plane = wire.Plane{
+	Magic:      "FFRP",
+	Domain:     "flashflow-rpc-auth\x00",
+	VersionMin: 1,
+	VersionMax: 1,
+	MaxPayload: 64 << 20,
+}
+
+// Request/response frame types, numbered after wire's handshake frames.
 const (
-	VersionMin uint16 = 1
-	VersionMax uint16 = 1
-)
-
-// helloMagic opens every connection. Four fixed bytes before anything
-// version-dependent: a peer that is not speaking this protocol at all
-// (a stray HTTP client, a measurement-plane dialer) is rejected on the
-// first frame with ErrBadHello rather than a confusing auth failure.
-const helloMagic = "FFRP"
-
-// FrameType identifies one protocol frame.
-type FrameType uint8
-
-// Frame types. The hello/welcome pair negotiates the version, the
-// auth/authok pair authenticates the client (mirroring the measurement
-// plane's nonce challenge), and request/response/error carry the RPC
-// traffic. Reject may replace welcome, authok, or a response when the
-// server refuses the connection.
-const (
-	// FrameHello is the client's opening frame: helloMagic plus the
-	// client's supported version range.
-	FrameHello FrameType = 1
-	// FrameWelcome answers hello with the negotiated version and the
-	// server's 32-byte auth nonce.
-	FrameWelcome FrameType = 2
-	// FrameAuth carries the client's public key and its signature over
-	// AuthMessage(version, nonce).
-	FrameAuth FrameType = 3
-	// FrameAuthOK acknowledges successful authentication.
-	FrameAuthOK FrameType = 4
-	// FrameReject carries a human-readable refusal (version skew, unknown
-	// key, bad signature) and precedes the server closing the connection.
-	FrameReject FrameType = 5
 	// FrameRequest is one call: a method byte followed by the body.
-	FrameRequest FrameType = 6
+	FrameRequest wire.FrameType = 6
 	// FrameResponse is a successful call's reply body.
-	FrameResponse FrameType = 7
+	FrameResponse wire.FrameType = 7
 	// FrameError is a handler-level failure: the connection stays healthy,
 	// the payload is the error message (surfaced as *ServerError).
-	FrameError FrameType = 8
+	FrameError wire.FrameType = 8
 )
 
 // MethodSubmitV3BW is the control plane's submission method: the request
@@ -65,35 +38,8 @@ const (
 // protocol surface; never renumber, only append.
 const MethodSubmitV3BW uint8 = 1
 
-// MaxPayload bounds one frame's payload. Submissions carry whole v3bw
-// bodies, so the bound is sized for bandwidth files (a million-relay view
-// is ~50 MB), not for control chatter.
-const MaxPayload = 64 << 20
-
-// frameHeaderLen is the 4-byte length prefix plus the type byte — the
-// same framing discipline as the measurement plane's control frames.
-const frameHeaderLen = 5
-
-// Protocol errors.
-var (
-	// ErrFrameTooLarge marks a frame whose declared payload exceeds
-	// MaxPayload; the reader refuses it before allocating.
-	ErrFrameTooLarge = errors.New("rpc: frame payload too large")
-	// ErrBadFrame marks a structurally invalid frame (wrong type for the
-	// protocol state, malformed payload).
-	ErrBadFrame = errors.New("rpc: malformed frame")
-	// ErrBadHello marks an opening frame without the protocol magic.
-	ErrBadHello = errors.New("rpc: peer did not send a protocol hello")
-	// ErrVersionSkew marks disjoint version ranges between the peers.
-	ErrVersionSkew = errors.New("rpc: no protocol version in common")
-	// ErrNotAuthorized marks a client key outside the server's allowed set.
-	ErrNotAuthorized = errors.New("rpc: client key not authorized")
-	// ErrAuthRejected marks a failed signature check or a server-side
-	// rejection during the handshake.
-	ErrAuthRejected = errors.New("rpc: authentication rejected")
-	// ErrClosed marks use of a closed client or server.
-	ErrClosed = errors.New("rpc: closed")
-)
+// ErrClosed marks use of a closed client or server.
+var ErrClosed = errors.New("rpc: closed")
 
 // ServerError is a handler-level failure relayed to the caller. The
 // connection that carried it remains usable: handler errors are part of
@@ -101,91 +47,6 @@ var (
 type ServerError struct{ Msg string }
 
 func (e *ServerError) Error() string { return "rpc: server: " + e.Msg }
-
-// WriteFrame writes one length-prefixed frame. Header and payload go out
-// in a single Write so a frame is never split across syscalls — the same
-// rule the measurement plane's WriteFrame follows, and the property the
-// torn-frame tests rely on when they cut byte streams at every offset.
-func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return ErrFrameTooLarge
-	}
-	buf := make([]byte, frameHeaderLen+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	buf[4] = byte(t)
-	copy(buf[frameHeaderLen:], payload)
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("rpc: write frame: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads one frame, allocating a payload buffer the caller owns.
-// A declared length beyond MaxPayload fails before any payload allocation,
-// so a corrupt or hostile length prefix cannot drive a huge allocation. A
-// truncated stream surfaces as io.ErrUnexpectedEOF (or io.EOF exactly at
-// a frame boundary) — torn tails are detected, never silently absorbed,
-// mirroring the durable store's torn-tail discipline.
-func ReadFrame(r io.Reader) (FrameType, []byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("rpc: read frame header: %w", err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > MaxPayload {
-		return 0, nil, ErrFrameTooLarge
-	}
-	var payload []byte
-	if n > 0 {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, nil, fmt.Errorf("rpc: read frame payload: %w", err)
-		}
-	}
-	return FrameType(hdr[4]), payload, nil
-}
-
-// nonceLen is the server challenge length, matching the measurement
-// plane's handshake.
-const nonceLen = 32
-
-// authPrefix domain-separates RPC auth signatures from every other
-// ed25519 use of the same key (v3bw submissions, the measurement-plane
-// handshake).
-const authPrefix = "flashflow-rpc-auth\x00"
-
-// AuthMessage is the byte string a client signs to authenticate: the
-// domain prefix, the negotiated version, then the server's nonce. Binding
-// the version means a middle party cannot splice a downgraded welcome
-// into an otherwise honest handshake — the signature would cover the
-// wrong version and verification fails.
-func AuthMessage(version uint16, nonce []byte) []byte {
-	msg := make([]byte, 0, len(authPrefix)+2+len(nonce))
-	msg = append(msg, authPrefix...)
-	msg = binary.BigEndian.AppendUint16(msg, version)
-	return append(msg, nonce...)
-}
-
-// negotiate picks the highest version inside both ranges.
-func negotiate(aMin, aMax, bMin, bMax uint16) (uint16, bool) {
-	lo, hi := aMin, aMax
-	if bMin > lo {
-		lo = bMin
-	}
-	if bMax < hi {
-		hi = bMax
-	}
-	if lo > hi {
-		return 0, false
-	}
-	return hi, true
-}
 
 // DeriveIdentity deterministically derives an ed25519 identity from a
 // shared secret and a node name: the key seed is

@@ -70,9 +70,6 @@ func TestHandshakeAndCall(t *testing.T) {
 	if want := append([]byte{7}, []byte("hello")...); !bytes.Equal(resp, want) {
 		t.Fatalf("echo = %q, want %q", resp, want)
 	}
-	if v := cli.Version(); v != VersionMax {
-		t.Fatalf("negotiated version %d, want %d", v, VersionMax)
-	}
 	// Second call reuses the connection: no second dial.
 	if _, err := cli.Call(context.Background(), 1, nil); err != nil {
 		t.Fatal(err)
@@ -121,7 +118,7 @@ func TestUnauthorizedKeyRejected(t *testing.T) {
 	defer cli.Close()
 
 	_, err = cli.Call(context.Background(), 1, nil)
-	if !errors.Is(err, ErrAuthRejected) {
+	if !errors.Is(err, wire.ErrAuthRejected) {
 		t.Fatalf("stranger call error = %v, want ErrAuthRejected", err)
 	}
 	if got := ctr.Get("coord_rpc_call_errors"); got != 1 {
@@ -129,39 +126,89 @@ func TestUnauthorizedKeyRejected(t *testing.T) {
 	}
 }
 
+// TestVersionSkewRejected: a client speaking only newer versions than the
+// server is refused at its hello with ErrVersionSkew, which the server
+// counts as a hello reject.
 func TestVersionSkewRejected(t *testing.T) {
 	id := newTestIdentity(t)
-	srv := echoServer(t, id.Pub)
-	defer srv.Close()
-	cli, err := NewClient(ClientConfig{
-		Dial:       pipeDialer(t, srv),
-		Identity:   id,
-		VersionMin: VersionMax + 1,
-		VersionMax: VersionMax + 5,
+	ctr := metrics.NewCounters()
+	srv, err := NewServer(ServerConfig{
+		Authorized: []ed25519.PublicKey{id.Pub},
+		Handler:    func(ed25519.PublicKey, uint8, []byte) ([]byte, error) { return nil, nil },
+		Counters:   ctr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
+	defer srv.Close()
+	client, server := net.Pipe()
+	defer client.Close()
+	srvErr := make(chan error, 1)
+	go func() { srvErr <- srv.ServeConn(server) }()
 
-	_, err = cli.Call(context.Background(), 1, nil)
-	if !errors.Is(err, ErrVersionSkew) {
+	future := plane
+	future.VersionMin, future.VersionMax = plane.VersionMax+1, plane.VersionMax+5
+	if err := wire.ClientHandshake(client, &future, id); !errors.Is(err, wire.ErrVersionSkew) {
 		t.Fatalf("skewed client error = %v, want ErrVersionSkew", err)
+	}
+	if err := <-srvErr; !errors.Is(err, wire.ErrVersionSkew) {
+		t.Fatalf("server error = %v, want ErrVersionSkew", err)
+	}
+	if got := ctr.Get("rpc_server_hello_rejects"); got != 1 {
+		t.Fatalf("hello_rejects = %d, want 1", got)
 	}
 }
 
-// TestDowngradeSignatureBinding proves the version is bound into the auth
-// signature: a signature over the wrong version must not verify, even
-// from an authorized key.
+// TestDowngradeSignatureBinding proves the negotiated version is bound
+// into the auth signature: between a client and a server that both speak
+// versions 1 and 2, a middle party rewrites the welcome from version 2 to
+// 1. The client signs over version 1, the server verifies over version 2,
+// and the handshake fails even though the key is authorized. The same
+// relay without the rewrite authenticates.
 func TestDowngradeSignatureBinding(t *testing.T) {
-	nonce := bytes.Repeat([]byte{0xAB}, nonceLen)
 	id := newTestIdentity(t)
-	sigV1 := ed25519.Sign(id.Priv, AuthMessage(1, nonce))
-	if !ed25519.Verify(id.Pub, AuthMessage(1, nonce), sigV1) {
-		t.Fatal("honest signature should verify")
-	}
-	if ed25519.Verify(id.Pub, AuthMessage(2, nonce), sigV1) {
-		t.Fatal("signature over version 1 must not verify as version 2")
+	twoVersions := plane
+	twoVersions.VersionMin, twoVersions.VersionMax = 1, 2
+	for _, splice := range []bool{false, true} {
+		cliConn, relayCli := net.Pipe()
+		relaySrv, srvConn := net.Pipe()
+		// Client to server: bytes pass untouched.
+		go func() { _, _ = io.Copy(relaySrv, relayCli) }()
+		// Server to client: frame by frame, rewriting the welcome's version.
+		go func() {
+			defer relayCli.Close()
+			for {
+				ft, p, err := wire.ReadFrame(relaySrv, plane.MaxPayload, nil)
+				if err != nil {
+					return
+				}
+				if splice && ft == wire.FrameWelcome {
+					p[0], p[1] = 0, 1
+				}
+				if wire.WriteFrame(relayCli, plane.MaxPayload, ft, p) != nil {
+					return
+				}
+			}
+		}()
+		srvErr := make(chan error, 1)
+		go func() {
+			defer srvConn.Close()
+			_, err := wire.ServerHandshake(srvConn, &twoVersions, map[string]bool{string(id.Pub): true})
+			srvErr <- err
+		}()
+		cliErr := wire.ClientHandshake(cliConn, &twoVersions, id)
+		cliConn.Close()
+		err := <-srvErr
+		relaySrv.Close()
+		if !splice {
+			if cliErr != nil || err != nil {
+				t.Fatalf("honest relay: client %v, server %v", cliErr, err)
+			}
+			continue
+		}
+		if !errors.Is(err, wire.ErrAuthRejected) || !errors.Is(cliErr, wire.ErrAuthRejected) {
+			t.Fatalf("downgraded welcome: client %v, server %v; want ErrAuthRejected", cliErr, err)
+		}
 	}
 }
 

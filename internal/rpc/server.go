@@ -2,14 +2,13 @@ package rpc
 
 import (
 	"crypto/ed25519"
-	"crypto/rand"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
 
 	"flashflow/internal/metrics"
+	"flashflow/internal/wire"
 )
 
 // Handler serves one authenticated request. peer is the connection's
@@ -162,12 +161,20 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) error {
 		s.count("_conns_active", -1)
 	}()
 
-	peer, err := s.handshake(conn)
+	peer, err := wire.ServerHandshake(conn, &plane, s.allowed)
 	if err != nil {
+		switch {
+		case errors.Is(err, wire.ErrBadHello), errors.Is(err, wire.ErrVersionSkew):
+			s.count("_hello_rejects", 1)
+		case errors.Is(err, wire.ErrBadFrame), errors.Is(err, wire.ErrAuthRejected):
+			s.count("_auth_failures", 1)
+		}
 		return err
 	}
 	for {
-		t, payload, err := ReadFrame(conn)
+		// No scratch: each request body is allocated once and handed
+		// to the handler, which may keep it (a submission's body).
+		t, payload, err := wire.ReadFrame(conn, plane.MaxPayload, nil)
 		if err != nil {
 			if err == io.EOF {
 				return nil
@@ -177,82 +184,21 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) error {
 		}
 		if t != FrameRequest || len(payload) < 1 {
 			s.count("_frame_errors", 1)
-			_ = WriteFrame(conn, FrameReject, []byte("expected request frame"))
-			return ErrBadFrame
+			return wire.ErrBadFrame
 		}
 		s.count("_requests", 1)
 		resp, herr := s.cfg.Handler(peer, payload[0], payload[1:])
 		if herr != nil {
 			s.count("_handler_errors", 1)
-			if err := WriteFrame(conn, FrameError, []byte(herr.Error())); err != nil {
+			if err := wire.WriteFrame(conn, plane.MaxPayload, FrameError, []byte(herr.Error())); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := WriteFrame(conn, FrameResponse, resp); err != nil {
+		if err := wire.WriteFrame(conn, plane.MaxPayload, FrameResponse, resp); err != nil {
 			return err
 		}
 	}
-}
-
-// handshake negotiates the version and authenticates the client,
-// returning its public key.
-func (s *Server) handshake(conn io.ReadWriter) (ed25519.PublicKey, error) {
-	t, p, err := ReadFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	if t != FrameHello || len(p) != len(helloMagic)+4 || string(p[:len(helloMagic)]) != helloMagic {
-		s.count("_hello_rejects", 1)
-		_ = WriteFrame(conn, FrameReject, []byte("bad hello"))
-		return nil, ErrBadHello
-	}
-	cMin := uint16(p[len(helloMagic)])<<8 | uint16(p[len(helloMagic)+1])
-	cMax := uint16(p[len(helloMagic)+2])<<8 | uint16(p[len(helloMagic)+3])
-	version, ok := negotiate(cMin, cMax, VersionMin, VersionMax)
-	if !ok {
-		s.count("_hello_rejects", 1)
-		_ = WriteFrame(conn, FrameReject, fmt.Appendf(nil,
-			"no version in common: client [%d,%d], server [%d,%d]", cMin, cMax, VersionMin, VersionMax))
-		return nil, ErrVersionSkew
-	}
-
-	welcome := make([]byte, 2+nonceLen)
-	welcome[0], welcome[1] = byte(version>>8), byte(version)
-	if _, err := rand.Read(welcome[2:]); err != nil {
-		return nil, fmt.Errorf("rpc: nonce: %w", err)
-	}
-	if err := WriteFrame(conn, FrameWelcome, welcome); err != nil {
-		return nil, err
-	}
-
-	t, p, err = ReadFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	if t != FrameAuth || len(p) != ed25519.PublicKeySize+ed25519.SignatureSize {
-		s.count("_auth_failures", 1)
-		_ = WriteFrame(conn, FrameReject, []byte("bad auth frame"))
-		return nil, ErrBadFrame
-	}
-	// Copy: the key outlives the frame buffer (it is handed to every
-	// handler call on this connection).
-	pub := append(ed25519.PublicKey(nil), p[:ed25519.PublicKeySize]...)
-	sig := p[ed25519.PublicKeySize:]
-	if !s.allowed[string(pub)] {
-		s.count("_auth_failures", 1)
-		_ = WriteFrame(conn, FrameReject, []byte("key not authorized"))
-		return nil, ErrNotAuthorized
-	}
-	if !ed25519.Verify(pub, AuthMessage(version, welcome[2:]), sig) {
-		s.count("_auth_failures", 1)
-		_ = WriteFrame(conn, FrameReject, []byte("bad signature"))
-		return nil, ErrAuthRejected
-	}
-	if err := WriteFrame(conn, FrameAuthOK, nil); err != nil {
-		return nil, err
-	}
-	return pub, nil
 }
 
 // Close stops the listener (if any), closes every live connection, and

@@ -7,6 +7,11 @@
 // verification against the circuit keystream, and per-second byte
 // accounting.
 //
+// It also owns the one frame codec and the one authenticated handshake in
+// the repository. Both planes use them: the measurement plane here, and
+// the control plane (internal/rpc), which declares its own Plane value so
+// that neither plane's peers nor signatures are accepted by the other.
+//
 // This package is the reproduction's substitute for the paper's 1,200-line
 // patch to Tor v0.3.5.7: instead of patching Tor, the target side is a
 // standalone relay speaking the same measurement protocol with real
@@ -26,39 +31,48 @@ import (
 // FrameType identifies a control frame.
 type FrameType uint8
 
-// Control frame types exchanged during the authentication handshake.
-// Circuit setup is not framed: it rides the cell stream itself as
-// MsmtCreate/MsmtCreated cells (the paper's new circuit-creation cell,
-// §4.1), so a multiplexed connection never interleaves frame bytes with
-// cell bytes after authentication. Values 3 and 4 belonged to the retired
-// FrameCreate/FrameCreated and are not reused.
+// Handshake frame types, shared by every Plane. A plane numbers its own
+// frames above FrameReject (the control plane's request, response and
+// error frames are 6–8). Measurement-plane circuit setup is not framed:
+// it rides the cell stream itself as MsmtCreate/MsmtCreated cells (the
+// paper's new circuit-creation cell, §4.1), so a multiplexed connection
+// never interleaves frame bytes with cell bytes after authentication.
 const (
-	// FrameAuth carries the connecting measurer's public key and its
-	// signature over the server's nonce.
-	FrameAuth FrameType = 1
+	// FrameHello is the client's opening frame: the plane's magic plus
+	// the client's supported version range.
+	FrameHello FrameType = 1
+	// FrameWelcome answers hello with the negotiated version and the
+	// server's 32-byte nonce.
+	FrameWelcome FrameType = 2
+	// FrameAuth carries the client's public key and its signature over
+	// domain ‖ version ‖ nonce.
+	FrameAuth FrameType = 3
 	// FrameAuthOK acknowledges successful authentication.
-	FrameAuthOK FrameType = 2
-	// FrameReject indicates authentication or admission failure.
+	FrameAuthOK FrameType = 4
+	// FrameReject refuses the connection: a reason code and readable
+	// text, after which the server closes.
 	FrameReject FrameType = 5
 )
 
-// maxFramePayload bounds control frame payloads.
-const maxFramePayload = 4096
-
 // Frame errors.
 var (
+	// ErrFrameTooLarge marks a frame whose declared payload exceeds the
+	// plane's bound; the reader refuses it before allocating.
 	ErrFrameTooLarge = errors.New("wire: frame payload too large")
-	ErrBadFrame      = errors.New("wire: malformed frame")
+	// ErrBadFrame marks a frame of the wrong type or shape for the
+	// protocol state.
+	ErrBadFrame = errors.New("wire: malformed frame")
 )
 
 // frameHeaderLen is the length prefix (4 bytes) plus the type byte.
 const frameHeaderLen = 5
 
-// WriteFrame writes a length-prefixed control frame. Header and payload go
-// out in a single Write so a frame is never split across two syscalls
-// (and never interleaves with another writer's bytes on a shared conn).
-func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
-	if len(payload) > maxFramePayload {
+// WriteFrame writes one length-prefixed frame whose payload may not
+// exceed max bytes. Header and payload go out in a single Write, so a
+// frame is never split across two syscalls (and never interleaves with
+// another writer's bytes on a shared conn).
+func WriteFrame(w io.Writer, max int, t FrameType, payload []byte) error {
+	if len(payload) > max {
 		return ErrFrameTooLarge
 	}
 	buf := make([]byte, frameHeaderLen+len(payload))
@@ -66,31 +80,29 @@ func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 	buf[4] = byte(t)
 	copy(buf[frameHeaderLen:], payload)
 	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("write frame: %w", err)
+		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }
 
-// ReadFrame reads one control frame, allocating a fresh payload buffer the
-// caller owns. Protocol loops that read frames repeatedly should use
-// ReadFrameInto with a per-connection scratch buffer instead.
-func ReadFrame(r io.Reader) (FrameType, []byte, error) {
-	return ReadFrameInto(r, nil)
-}
-
-// ReadFrameInto reads one control frame, decoding the payload into scratch
-// when it is large enough (the returned payload then aliases scratch and
-// is only valid until the next ReadFrameInto call with the same buffer).
-// A nil or too-small scratch falls back to allocating. Callers that retain
-// payload bytes beyond the next read — authenticated public keys, for
-// example — must copy them out.
-func ReadFrameInto(r io.Reader, scratch []byte) (FrameType, []byte, error) {
+// ReadFrame reads one frame whose payload may not exceed max bytes. A
+// longer declared length fails with ErrFrameTooLarge before any payload
+// allocation. The payload is decoded into scratch when it fits (it then
+// aliases scratch and is valid only until the next read into the same
+// buffer); a nil or too-small scratch allocates a buffer the caller owns.
+// A stream that ends exactly at a frame boundary returns a bare io.EOF; one
+// that ends inside a frame returns io.ErrUnexpectedEOF, so a torn tail is
+// detected, never read as a frame.
+func ReadFrame(r io.Reader, max int, scratch []byte) (FrameType, []byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, fmt.Errorf("read frame header: %w", err)
+		if err == io.EOF {
+			return 0, nil, io.EOF
+		}
+		return 0, nil, fmt.Errorf("wire: read frame header: %w", err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > maxFramePayload {
+	if uint64(n) > uint64(max) {
 		return 0, nil, ErrFrameTooLarge
 	}
 	var payload []byte
@@ -101,7 +113,10 @@ func ReadFrameInto(r io.Reader, scratch []byte) (FrameType, []byte, error) {
 	}
 	if n > 0 {
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return 0, nil, fmt.Errorf("read frame payload: %w", err)
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, fmt.Errorf("wire: read frame payload: %w", err)
 		}
 	}
 	return FrameType(hdr[4]), payload, nil

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"encoding/binary"
 	"net"
 	"testing"
@@ -10,9 +11,10 @@ import (
 	"flashflow/internal/cell"
 )
 
-// fuzzConn is the in-memory connection FuzzServeMux serves: reads drain a
-// fixed byte string and then report io.EOF, writes are discarded. serveMux
-// uses no other net.Conn method.
+// fuzzConn is the in-memory connection FuzzServeMux and
+// FuzzServerHandshake serve: reads drain a fixed byte string and then
+// report io.EOF, writes are discarded. Neither uses another net.Conn
+// method.
 type fuzzConn struct {
 	net.Conn
 	r *bytes.Reader
@@ -116,3 +118,70 @@ func FuzzUDPDatagram(f *testing.F) {
 
 // fuzzUDPCircuits is the number of live circuits FuzzUDPDatagram serves.
 const fuzzUDPCircuits = 3
+
+// FuzzReadFrame feeds arbitrary bytes to the frame reader: it must never
+// panic, and whatever it parses must re-encode to the bytes it consumed.
+func FuzzReadFrame(f *testing.F) {
+	max := msmtPlane.MaxPayload
+	var seed bytes.Buffer
+	_ = WriteFrame(&seed, max, FrameHello, []byte("seed"))
+	f.Add(seed.Bytes())
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 1})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0, 0, 0, 2, 6, 1})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		scratch := make([]byte, handshakeScratchLen)
+		consumed := 0
+		for {
+			ft, payload, err := ReadFrame(r, max, scratch)
+			if err != nil {
+				break
+			}
+			var re bytes.Buffer
+			if werr := WriteFrame(&re, max, ft, payload); werr != nil {
+				t.Fatalf("re-encode of parsed frame failed: %v", werr)
+			}
+			end := consumed + re.Len()
+			if end > len(data) || !bytes.Equal(re.Bytes(), data[consumed:end]) {
+				t.Fatalf("parsed frame does not re-encode to its source bytes at offset %d", consumed)
+			}
+			consumed = end
+		}
+	})
+}
+
+// fuzzHandshakeKey is the allowed key of FuzzServerHandshake; the auth
+// frames in its seed corpus present its public key.
+var fuzzHandshakeKey = ed25519.NewKeyFromSeed(bytes.Repeat([]byte{7}, ed25519.SeedSize))
+
+// FuzzServerHandshake feeds arbitrary client bytes to the server side of
+// the measurement-plane handshake. Whatever arrives, ServerHandshake must
+// not panic and must return once the stream ends, and it must never
+// authenticate: no fixed input can hold a signature over the nonce the
+// server draws afresh for each connection. The seed corpus lives in
+// testdata/fuzz/FuzzServerHandshake.
+func FuzzServerHandshake(f *testing.F) {
+	allowed := map[string]bool{string(fuzzHandshakeKey.Public().(ed25519.PublicKey)): true}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		type result struct {
+			pub ed25519.PublicKey
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			pub, err := ServerHandshake(fuzzConn{r: bytes.NewReader(in)}, &msmtPlane, allowed)
+			done <- result{pub, err}
+		}()
+		select {
+		case r := <-done:
+			if r.err == nil {
+				t.Fatalf("authenticated key %x without a signature over the nonce", r.pub)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("ServerHandshake did not return at end of stream")
+		}
+	})
+}

@@ -395,7 +395,7 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 
 	sess, _ := conn.(Session)
 	if sess == nil || !sess.Authenticated() {
-		if err := clientAuthenticate(conn, opts.Identity); err != nil {
+		if err := ClientHandshake(conn, &msmtPlane, opts.Identity); err != nil {
 			return res, err
 		}
 		if sess != nil {

@@ -28,7 +28,7 @@ func dialMuxClient(t *testing.T, addr string, id Identity, nCirc int) *muxClient
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if err := clientAuthenticate(conn, id); err != nil {
+	if err := ClientHandshake(conn, &msmtPlane, id); err != nil {
 		t.Fatalf("authenticate: %v", err)
 	}
 	cr := newCellReader(conn, make([]byte, cell.SuperBytes))

@@ -150,8 +150,7 @@ func (t *Target) HandleConn(conn net.Conn) error {
 		t.mu.Unlock()
 	}()
 
-	var frameScratch [frameScratchLen]byte
-	pub, err := serverChallenge(conn, allowed, frameScratch[:])
+	pub, err := ServerHandshake(conn, &msmtPlane, allowed)
 	if err != nil {
 		return fmt.Errorf("target auth: %w", err)
 	}

@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"net"
 	"testing"
 	"time"
@@ -34,113 +32,6 @@ func startTarget(t *testing.T, cfg TargetConfig, allowed ...Identity) (string, *
 
 func tcpDialer(addr string) Dialer {
 	return func() (net.Conn, error) { return net.Dial("tcp", addr) }
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameAuth, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	ft, payload, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ft != FrameAuth || string(payload) != "payload" {
-		t.Fatalf("round trip: %v %q", ft, payload)
-	}
-}
-
-func TestFrameEmptyPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameAuthOK, nil); err != nil {
-		t.Fatal(err)
-	}
-	ft, payload, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ft != FrameAuthOK || len(payload) != 0 {
-		t.Fatalf("empty frame: %v %v", ft, payload)
-	}
-}
-
-func TestFrameTooLarge(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameAuth, make([]byte, maxFramePayload+1)); err != ErrFrameTooLarge {
-		t.Fatalf("want ErrFrameTooLarge, got %v", err)
-	}
-}
-
-func TestFrameTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameAuth, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	truncated := bytes.NewReader(buf.Bytes()[:6])
-	if _, _, err := ReadFrame(truncated); err == nil {
-		t.Fatal("truncated frame should error")
-	}
-}
-
-func TestAuthHandshakeOverPipe(t *testing.T) {
-	id, err := NewIdentity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	done := make(chan error, 1)
-	go func() {
-		_, err := serverChallenge(server, map[string]bool{string(id.Pub): true}, nil)
-		done <- err
-	}()
-	if err := clientAuthenticate(client, id); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAuthRejectsUnknownKey(t *testing.T) {
-	good, _ := NewIdentity()
-	evil, _ := NewIdentity()
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	done := make(chan error, 1)
-	go func() {
-		_, err := serverChallenge(server, map[string]bool{string(good.Pub): true}, nil)
-		done <- err
-	}()
-	if err := clientAuthenticate(client, evil); err == nil {
-		t.Fatal("unauthorized client should be rejected")
-	}
-	if err := <-done; !errors.Is(err, ErrNotAuthorized) {
-		t.Fatalf("server error: %v", err)
-	}
-}
-
-func TestAuthRejectsBadSignature(t *testing.T) {
-	id, _ := NewIdentity()
-	other, _ := NewIdentity()
-	// Forge: claim id.Pub but sign with other's key.
-	forged := Identity{Pub: id.Pub, Priv: other.Priv}
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	done := make(chan error, 1)
-	go func() {
-		_, err := serverChallenge(server, map[string]bool{string(id.Pub): true}, nil)
-		done <- err
-	}()
-	if err := clientAuthenticate(client, forged); err == nil {
-		t.Fatal("bad signature should be rejected")
-	}
-	if err := <-done; !errors.Is(err, ErrAuthRejected) {
-		t.Fatalf("server error: %v", err)
-	}
 }
 
 func TestMeasureHonestTargetEchoesAtRate(t *testing.T) {

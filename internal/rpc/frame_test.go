@@ -34,3 +34,117 @@ func TestFrameTooLarge(t *testing.T) {
 		}
 	}
 }
+
+// TestFrameRoundTrip carries edge payloads through the control plane's
+// request framing, read as the client and server read: without scratch.
+func TestFrameRoundTrip(t *testing.T) {
+	cases := [][]byte{nil, {}, {0}, []byte("payload"), bytes.Repeat([]byte{7}, 65536)}
+	for _, payload := range cases {
+		var buf bytes.Buffer
+		if err := wire.WriteFrame(&buf, plane.MaxPayload, FrameRequest, payload); err != nil {
+			t.Fatal(err)
+		}
+		ft, got, err := wire.ReadFrame(&buf, plane.MaxPayload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ft != FrameRequest || !bytes.Equal(got, payload) {
+			t.Fatalf("round-trip mismatch: type=%d len(got)=%d len(want)=%d", ft, len(got), len(payload))
+		}
+	}
+}
+
+// TestTornFrame applies the durable store's torn-tail discipline to a
+// control-plane request/response stream: cut at every byte offset, it
+// yields each complete frame, then io.EOF when the cut is on a frame
+// boundary or io.ErrUnexpectedEOF when it is not — never a garbage frame
+// and never a hang.
+func TestTornFrame(t *testing.T) {
+	max := plane.MaxPayload
+	var full bytes.Buffer
+	if err := wire.WriteFrame(&full, max, FrameRequest, []byte("first-payload")); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(&full, max, FrameResponse, bytes.Repeat([]byte{0xEE}, 300)); err != nil {
+		t.Fatal(err)
+	}
+	stream := full.Bytes()
+	boundary1 := 5 + len("first-payload") // length prefix and type byte, then payload
+
+	for cut := 0; cut <= len(stream); cut++ {
+		r := bytes.NewReader(stream[:cut])
+		var framesRead int
+		var finalErr error
+		for {
+			ft, payload, err := wire.ReadFrame(r, max, nil)
+			if err != nil {
+				finalErr = err
+				break
+			}
+			switch framesRead {
+			case 0:
+				if ft != FrameRequest || string(payload) != "first-payload" {
+					t.Fatalf("cut=%d: frame 0 corrupted: type=%d payload=%q", cut, ft, payload)
+				}
+			case 1:
+				if ft != FrameResponse || len(payload) != 300 {
+					t.Fatalf("cut=%d: frame 1 corrupted: type=%d len=%d", cut, ft, len(payload))
+				}
+			default:
+				t.Fatalf("cut=%d: phantom frame %d", cut, framesRead)
+			}
+			framesRead++
+		}
+		wantFrames := 0
+		if cut >= boundary1 {
+			wantFrames = 1
+		}
+		if cut == len(stream) {
+			wantFrames = 2
+		}
+		if framesRead != wantFrames {
+			t.Fatalf("cut=%d: read %d frames, want %d", cut, framesRead, wantFrames)
+		}
+		if atBoundary := cut == 0 || cut == boundary1 || cut == len(stream); atBoundary {
+			if finalErr != io.EOF {
+				t.Fatalf("cut=%d (boundary): err = %v, want io.EOF", cut, finalErr)
+			}
+		} else if !errors.Is(finalErr, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut=%d (torn): err = %v, want io.ErrUnexpectedEOF", cut, finalErr)
+		}
+	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame reader under the
+// control plane's payload bound: it must never panic, and whatever it
+// parses must re-encode to the bytes it consumed.
+func FuzzReadFrame(f *testing.F) {
+	max := plane.MaxPayload
+	var seed bytes.Buffer
+	_ = wire.WriteFrame(&seed, max, FrameRequest, []byte("seed"))
+	f.Add(seed.Bytes())
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 1})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0, 0, 0, 2, 6, 1})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		consumed := 0
+		for {
+			ft, payload, err := wire.ReadFrame(r, max, nil)
+			if err != nil {
+				break
+			}
+			var re bytes.Buffer
+			if werr := wire.WriteFrame(&re, max, ft, payload); werr != nil {
+				t.Fatalf("re-encode of parsed frame failed: %v", werr)
+			}
+			end := consumed + re.Len()
+			if end > len(data) || !bytes.Equal(re.Bytes(), data[consumed:end]) {
+				t.Fatalf("parsed frame does not re-encode to its source bytes at offset %d", consumed)
+			}
+			consumed = end
+		}
+	})
+}

@@ -35,6 +35,41 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameEmptyPayload: a frame with no payload (the handshake's auth-ok)
+// reads back as its type and an empty payload, with or without scratch.
+func TestFrameEmptyPayload(t *testing.T) {
+	for _, scratch := range [][]byte{nil, make([]byte, handshakeScratchLen)} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, msmtPlane.MaxPayload, FrameAuthOK, nil); err != nil {
+			t.Fatal(err)
+		}
+		ft, payload, err := ReadFrame(&buf, msmtPlane.MaxPayload, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ft != FrameAuthOK || len(payload) != 0 || buf.Len() != 0 {
+			t.Fatalf("empty frame: type=%v payload=%v, %d bytes left unread", ft, payload, buf.Len())
+		}
+	}
+}
+
+// Property: arbitrary bytes either fail to parse or parse to a frame
+// whose payload is within the bound and was fully present in the input.
+func TestReadFrameFuzzQuick(t *testing.T) {
+	max := msmtPlane.MaxPayload
+	f := func(data []byte) bool {
+		r := bytes.NewReader(data)
+		_, payload, err := ReadFrame(r, max, nil)
+		if err != nil {
+			return true // malformed input must error, not panic
+		}
+		return len(payload) <= max && len(data)-r.Len() == frameHeaderLen+len(payload)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: WriteFrame → ReadFrame round-trips arbitrary payloads up to
 // the measurement plane's bound.
 func TestFrameRoundTripQuick(t *testing.T) {

@@ -76,9 +76,11 @@ var rejectReasons = [...]error{ErrBadFrame, ErrBadHello, ErrVersionSkew, ErrNotA
 
 const nonceLen = 32
 
-// handshakeScratchLen is large enough for every handshake frame (the
-// auth frame's key and signature are 96 bytes), so a handshake reads
-// into one stack buffer.
+// handshakeScratchLen bounds every handshake frame on every plane (the
+// largest, the auth frame's key and signature, is 96 bytes), so a
+// handshake reads into one stack buffer and a peer that has not yet
+// authenticated cannot make either side allocate for a large declared
+// length. A plane's MaxPayload applies only after the handshake.
 const handshakeScratchLen = 128
 
 // authMessage is what a client signs: the plane's domain, the negotiated
@@ -100,11 +102,11 @@ func ClientHandshake(rw io.ReadWriter, p *Plane, id Identity) error {
 	hello = append(hello, p.Magic...)
 	hello = binary.BigEndian.AppendUint16(hello, p.VersionMin)
 	hello = binary.BigEndian.AppendUint16(hello, p.VersionMax)
-	if err := WriteFrame(rw, p.MaxPayload, FrameHello, hello); err != nil {
+	if err := WriteFrame(rw, handshakeScratchLen, FrameHello, hello); err != nil {
 		return err
 	}
 	var scratch [handshakeScratchLen]byte
-	t, welcome, err := ReadFrame(rw, p.MaxPayload, scratch[:])
+	t, welcome, err := ReadFrame(rw, handshakeScratchLen, scratch[:])
 	if err != nil {
 		return err
 	}
@@ -121,10 +123,10 @@ func ClientHandshake(rw io.ReadWriter, p *Plane, id Identity) error {
 	auth := make([]byte, 0, ed25519.PublicKeySize+ed25519.SignatureSize)
 	auth = append(auth, id.Pub...)
 	auth = append(auth, ed25519.Sign(id.Priv, p.authMessage(version, welcome[2:]))...)
-	if err := WriteFrame(rw, p.MaxPayload, FrameAuth, auth); err != nil {
+	if err := WriteFrame(rw, handshakeScratchLen, FrameAuth, auth); err != nil {
 		return err
 	}
-	t, reply, err := ReadFrame(rw, p.MaxPayload, scratch[:])
+	t, reply, err := ReadFrame(rw, handshakeScratchLen, scratch[:])
 	if err != nil {
 		return err
 	}
@@ -142,18 +144,18 @@ func ClientHandshake(rw io.ReadWriter, p *Plane, id Identity) error {
 // refusal sends a reject naming its reason before returning the error.
 func ServerHandshake(rw io.ReadWriter, p *Plane, allowed map[string]bool) (ed25519.PublicKey, error) {
 	var scratch [handshakeScratchLen]byte
-	t, hello, err := ReadFrame(rw, p.MaxPayload, scratch[:])
+	t, hello, err := ReadFrame(rw, handshakeScratchLen, scratch[:])
 	if err != nil {
 		return nil, err
 	}
 	if t != FrameHello || len(hello) != len(p.Magic)+4 || string(hello[:len(p.Magic)]) != p.Magic {
-		return nil, reject(rw, p, ErrBadHello, "want a "+p.Magic+" hello")
+		return nil, reject(rw, ErrBadHello, "want a "+p.Magic+" hello")
 	}
 	cMin := binary.BigEndian.Uint16(hello[len(p.Magic):])
 	cMax := binary.BigEndian.Uint16(hello[len(p.Magic)+2:])
 	version := min(cMax, p.VersionMax)
 	if version < max(cMin, p.VersionMin) {
-		return nil, reject(rw, p, ErrVersionSkew, fmt.Sprintf(
+		return nil, reject(rw, ErrVersionSkew, fmt.Sprintf(
 			"client speaks [%d,%d], server [%d,%d]", cMin, cMax, p.VersionMin, p.VersionMax))
 	}
 
@@ -162,27 +164,27 @@ func ServerHandshake(rw io.ReadWriter, p *Plane, allowed map[string]bool) (ed255
 	if _, err := rand.Read(welcome[2:]); err != nil {
 		return nil, fmt.Errorf("wire: nonce: %w", err)
 	}
-	if err := WriteFrame(rw, p.MaxPayload, FrameWelcome, welcome); err != nil {
+	if err := WriteFrame(rw, handshakeScratchLen, FrameWelcome, welcome); err != nil {
 		return nil, err
 	}
 
-	t, auth, err := ReadFrame(rw, p.MaxPayload, scratch[:])
+	t, auth, err := ReadFrame(rw, handshakeScratchLen, scratch[:])
 	if err != nil {
 		return nil, err
 	}
 	if t != FrameAuth || len(auth) != ed25519.PublicKeySize+ed25519.SignatureSize {
-		return nil, reject(rw, p, ErrBadFrame, "want an auth frame")
+		return nil, reject(rw, ErrBadFrame, "want an auth frame")
 	}
 	// Copy: the key outlives the scratch buffer (the target re-checks it
 	// before every circuit; the control plane hands it to every call).
 	pub := append(ed25519.PublicKey(nil), auth[:ed25519.PublicKeySize]...)
 	if !allowed[string(pub)] {
-		return nil, reject(rw, p, ErrNotAuthorized, "")
+		return nil, reject(rw, ErrNotAuthorized, "")
 	}
 	if !ed25519.Verify(pub, p.authMessage(version, welcome[2:]), auth[ed25519.PublicKeySize:]) {
-		return nil, reject(rw, p, ErrAuthRejected, "bad signature")
+		return nil, reject(rw, ErrAuthRejected, "bad signature")
 	}
-	if err := WriteFrame(rw, p.MaxPayload, FrameAuthOK, nil); err != nil {
+	if err := WriteFrame(rw, handshakeScratchLen, FrameAuthOK, nil); err != nil {
 		return nil, err
 	}
 	return pub, nil
@@ -190,9 +192,9 @@ func ServerHandshake(rw io.ReadWriter, p *Plane, allowed map[string]bool) (ed255
 
 // reject sends a FrameReject naming err and reason, best effort (the
 // connection is being refused either way), and returns err.
-func reject(w io.Writer, p *Plane, err error, reason string) error {
+func reject(w io.Writer, err error, reason string) error {
 	code := byte(slices.Index(rejectReasons[:], err))
-	_ = WriteFrame(w, p.MaxPayload, FrameReject, append([]byte{code}, reason...))
+	_ = WriteFrame(w, handshakeScratchLen, FrameReject, append([]byte{code}, reason...))
 	return err
 }
 

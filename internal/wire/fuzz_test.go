@@ -119,12 +119,12 @@ func FuzzUDPDatagram(f *testing.F) {
 // fuzzUDPCircuits is the number of live circuits FuzzUDPDatagram serves.
 const fuzzUDPCircuits = 3
 
-// FuzzReadFrame feeds arbitrary bytes to the frame reader: it must never
-// panic, and whatever it parses must re-encode to the bytes it consumed.
+// FuzzReadFrame feeds arbitrary bytes to the frame reader at both
+// planes' bounds and in both read modes: it must never panic, and
+// whatever it parses must re-encode to the bytes it consumed.
 func FuzzReadFrame(f *testing.F) {
-	max := msmtPlane.MaxPayload
 	var seed bytes.Buffer
-	_ = WriteFrame(&seed, max, FrameHello, []byte("seed"))
+	_ = WriteFrame(&seed, msmtPlane.MaxPayload, FrameHello, []byte("seed"))
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1})
@@ -132,23 +132,27 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 6, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		scratch := make([]byte, handshakeScratchLen)
-		consumed := 0
-		for {
-			ft, payload, err := ReadFrame(r, max, scratch)
-			if err != nil {
-				break
+		for _, b := range codecBounds {
+			for _, m := range readModes {
+				r := bytes.NewReader(data)
+				scratch := m.scratch()
+				consumed := 0
+				for {
+					ft, payload, err := ReadFrame(r, b.max, scratch)
+					if err != nil {
+						break
+					}
+					var re bytes.Buffer
+					if werr := WriteFrame(&re, b.max, ft, payload); werr != nil {
+						t.Fatalf("%s/%s: re-encode of parsed frame failed: %v", b.name, m.name, werr)
+					}
+					end := consumed + re.Len()
+					if end > len(data) || !bytes.Equal(re.Bytes(), data[consumed:end]) {
+						t.Fatalf("%s/%s: parsed frame does not re-encode to its source bytes at offset %d", b.name, m.name, consumed)
+					}
+					consumed = end
+				}
 			}
-			var re bytes.Buffer
-			if werr := WriteFrame(&re, max, ft, payload); werr != nil {
-				t.Fatalf("re-encode of parsed frame failed: %v", werr)
-			}
-			end := consumed + re.Len()
-			if end > len(data) || !bytes.Equal(re.Bytes(), data[consumed:end]) {
-				t.Fatalf("parsed frame does not re-encode to its source bytes at offset %d", consumed)
-			}
-			consumed = end
 		}
 	})
 }

@@ -120,8 +120,10 @@ func (t *Target) Close() {
 	t.wg.Wait()
 }
 
-// HandleConn runs the full target-side protocol on one connection:
-// challenge-authenticate once, then serve the multiplexed cell stream —
+// HandleConn runs the full target-side protocol on one connection: the
+// server side of the measurement-plane handshake once (hello, welcome
+// with a fresh nonce, the measurer's signed auth), then the multiplexed
+// cell stream —
 // circuit creation, decrypt-and-echo, circuit teardown — until the
 // measurer closes the connection. A connection held open by a measurement
 // coordinator (internal/coord) carries every slot's circuits without
